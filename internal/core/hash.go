@@ -1,19 +1,23 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
-	"sort"
+	"slices"
+
+	"energysched/internal/model"
 )
 
 // instanceHashVersion is folded into every digest so that a future
 // change to the canonical byte stream changes every hash instead of
 // silently colliding with old ones.
 const instanceHashVersion = 1
+
+var hashTag = fmt.Sprintf("energysched/instance/v%d", instanceHashVersion)
 
 // Hash returns a canonical 128-bit FNV-1a digest of the instance as a
 // 32-character lowercase hex string. Two instances hash equal exactly
@@ -28,80 +32,114 @@ const instanceHashVersion = 1
 // Hash assumes a structurally valid instance (Graph and Mapping
 // non-nil); call Validate first on untrusted input.
 func (in *Instance) Hash() string {
-	h := fnv.New128a()
-	writeString(h, fmt.Sprintf("energysched/instance/v%d", instanceHashVersion))
+	g := in.Graph
+	edges := g.Edges()
+	slices.SortFunc(edges, compareEdges)
+	return canonical{
+		n:        g.N(),
+		task:     func(i int) (string, float64) { t := g.Task(i); return t.Name, t.Weight },
+		edges:    edges,
+		order:    in.Mapping.Order[:in.Mapping.P],
+		speed:    &in.Speed,
+		deadline: in.Deadline,
+		rel:      in.Rel,
+		frel:     in.FRel,
+	}.digest()
+}
 
-	n := in.Graph.N()
-	writeUint64(h, uint64(n))
-	for i := 0; i < n; i++ {
-		t := in.Graph.Task(i)
-		writeString(h, t.Name)
-		writeFloat64(h, t.Weight)
+// canonical is everything an instance digest covers. Instance.Hash
+// and WireInstance.Key both fill one in, so a built instance and its
+// wire form cannot drift apart.
+type canonical struct {
+	n        int
+	task     func(i int) (name string, weight float64)
+	edges    [][2]int // sorted by compareEdges, no duplicates
+	order    [][]int  // each processor's tasks in execution order
+	speed    *model.SpeedModel
+	deadline float64
+	rel      *model.Reliability // nil for BI-CRIT
+	frel     float64
+}
+
+// digest appends the canonical byte stream into one buffer and hashes
+// it. Integers are 8-byte big-endian; strings are length-prefixed so
+// adjacent fields cannot alias ("ab","c" vs "a","bc"); floats are
+// their IEEE-754 bit patterns, so -0.0 and 0.0 (and different NaN
+// payloads) hash differently — bit-exact instances are the equality
+// contract.
+func (c canonical) digest() string {
+	// Size the buffer exactly: tag, tasks, edges, mapping, speed
+	// model (kind, fmin, fmax, delta, levels), deadline, reliability.
+	size := 8 + len(hashTag) + 8 + 16*c.n + 8 + 16*len(c.edges) + 8 + 8*len(c.order) +
+		40 + 8*len(c.speed.Levels) + 8 + 48
+	for i := 0; i < c.n; i++ {
+		name, _ := c.task(i)
+		size += len(name)
 	}
-
-	edges := in.Graph.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	writeUint64(h, uint64(len(edges)))
-	for _, e := range edges {
-		writeUint64(h, uint64(e[0]))
-		writeUint64(h, uint64(e[1]))
+	for _, order := range c.order {
+		size += 8 * len(order)
 	}
+	b := make([]byte, 0, size)
+	str := func(s string) {
+		b = binary.BigEndian.AppendUint64(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	u64 := func(v uint64) { b = binary.BigEndian.AppendUint64(b, v) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
 
-	writeUint64(h, uint64(in.Mapping.P))
-	for q := 0; q < in.Mapping.P; q++ {
-		order := in.Mapping.Order[q]
-		writeUint64(h, uint64(len(order)))
+	str(hashTag)
+	u64(uint64(c.n))
+	for i := 0; i < c.n; i++ {
+		name, weight := c.task(i)
+		str(name)
+		f64(weight)
+	}
+	u64(uint64(len(c.edges)))
+	for _, e := range c.edges {
+		u64(uint64(e[0]))
+		u64(uint64(e[1]))
+	}
+	u64(uint64(len(c.order)))
+	for _, order := range c.order {
+		u64(uint64(len(order)))
 		for _, t := range order {
-			writeUint64(h, uint64(t))
+			u64(uint64(t))
 		}
 	}
-
-	writeUint64(h, uint64(in.Speed.Kind))
-	writeFloat64(h, in.Speed.FMin)
-	writeFloat64(h, in.Speed.FMax)
-	writeFloat64(h, in.Speed.Delta)
-	writeUint64(h, uint64(len(in.Speed.Levels)))
-	for _, l := range in.Speed.Levels {
-		writeFloat64(h, l)
+	u64(uint64(c.speed.Kind))
+	f64(c.speed.FMin)
+	f64(c.speed.FMax)
+	f64(c.speed.Delta)
+	u64(uint64(len(c.speed.Levels)))
+	for _, l := range c.speed.Levels {
+		f64(l)
 	}
-
-	writeFloat64(h, in.Deadline)
-	if in.Rel == nil {
-		writeUint64(h, 0)
+	f64(c.deadline)
+	if c.rel == nil {
+		u64(0)
 	} else {
-		writeUint64(h, 1)
-		writeFloat64(h, in.Rel.Lambda0)
-		writeFloat64(h, in.Rel.Sensitivity)
-		writeFloat64(h, in.Rel.FMin)
-		writeFloat64(h, in.Rel.FMax)
-		writeFloat64(h, in.FRel)
+		u64(1)
+		f64(c.rel.Lambda0)
+		f64(c.rel.Sensitivity)
+		f64(c.rel.FMin)
+		f64(c.rel.FMax)
+		f64(c.frel)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+
+	h := fnv.New128a()
+	h.Write(b)
+	var sum [16]byte
+	var out [32]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:])
 }
 
-// writeString writes a length-prefixed string so that adjacent fields
-// cannot alias ("ab","c" vs "a","bc").
-func writeString(w io.Writer, s string) {
-	writeUint64(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-func writeUint64(w io.Writer, v uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
-}
-
-// writeFloat64 hashes the IEEE-754 bit pattern, so -0.0 and 0.0 (and
-// different NaN payloads) hash differently — bit-exact instances are
-// the equality contract.
-func writeFloat64(w io.Writer, v float64) {
-	writeUint64(w, math.Float64bits(v))
+// compareEdges orders edges by source, then target.
+func compareEdges(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // NewConfig materializes a functional option list into a validated

@@ -137,3 +137,31 @@ func TestConfigFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestHashAllocs bounds Instance.Hash at a constant number of
+// allocations whatever the instance size: today one buffer, the sorted
+// edge list and the hex string.
+func TestHashAllocs(t *testing.T) {
+	for _, n := range []int{2, 12, 64, 256} {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = float64(i + 1)
+		}
+		g := dag.ChainGraph(ws...)
+		for i := 0; i+2 < n; i++ {
+			g.MustEdge(i, i+2)
+		}
+		mp, err := platform.SingleProcessor(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := model.NewDiscrete(model.XScaleLevels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: 1e3}
+		if got := testing.AllocsPerRun(100, func() { in.Hash() }); got > 5 {
+			t.Errorf("n=%d: Hash allocates %v times, want ≤ 5", n, got)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"energysched/internal/dag"
@@ -13,8 +14,11 @@ import (
 	"energysched/internal/schedule"
 )
 
-// instanceJSON is the on-disk representation of an Instance.
-type instanceJSON struct {
+// WireInstance is the JSON form of an Instance, as files and request
+// bodies carry it. Decoding one checks nothing: Build turns it into a
+// validated Instance, and Key derives the instance's Hash from the
+// wire form alone, so a cache lookup need not build the instance.
+type WireInstance struct {
 	Tasks       []taskJSON `json:"tasks"`
 	Edges       [][2]int   `json:"edges"`
 	Processors  int        `json:"processors"`
@@ -37,6 +41,24 @@ type speedJSON struct {
 	Delta  float64   `json:"delta,omitempty"`
 }
 
+// model builds the speed model through the model package's
+// constructors, which sort and deduplicate levels and materialize the
+// incremental grid.
+func (s *speedJSON) model() (model.SpeedModel, error) {
+	switch s.Kind {
+	case "continuous":
+		return model.NewContinuous(s.FMin, s.FMax)
+	case "discrete":
+		return model.NewDiscrete(s.Levels)
+	case "vdd-hopping":
+		return model.NewVddHopping(s.Levels)
+	case "incremental":
+		return model.NewIncremental(s.FMin, s.FMax, s.Delta)
+	default:
+		return model.SpeedModel{}, fmt.Errorf("core: unknown speed model kind %q", s.Kind)
+	}
+}
+
 type relJSON struct {
 	Lambda0     float64 `json:"lambda0"`
 	Sensitivity float64 `json:"d"`
@@ -48,7 +70,7 @@ func MarshalInstance(in *Instance) ([]byte, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	j := instanceJSON{
+	j := WireInstance{
 		Processors: in.Mapping.P,
 		Deadline:   in.Deadline,
 	}
@@ -81,14 +103,20 @@ func MarshalInstance(in *Instance) ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }
 
-// UnmarshalInstance parses an instance from JSON. When "mapping" is
-// omitted, the tasks are mapped with critical-path list scheduling
-// onto "processors" processors (the coupling the paper recommends).
+// UnmarshalInstance parses an instance from JSON: one decode into a
+// WireInstance, then Build.
 func UnmarshalInstance(data []byte) (*Instance, error) {
-	var j instanceJSON
+	var j WireInstance
 	if err := json.Unmarshal(data, &j); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return j.Build()
+}
+
+// Build constructs and validates the instance. When "mapping" is
+// omitted, the tasks are mapped with critical-path list scheduling
+// onto "processors" processors (the coupling the paper recommends).
+func (j *WireInstance) Build() (*Instance, error) {
 	if len(j.Tasks) == 0 {
 		return nil, errors.New("core: instance has no tasks")
 	}
@@ -124,38 +152,84 @@ func UnmarshalInstance(data []byte) (*Instance, error) {
 		}
 		mp = res.Mapping
 	}
-	var sm model.SpeedModel
-	var err error
-	switch j.SpeedModel.Kind {
-	case "continuous":
-		sm, err = model.NewContinuous(j.SpeedModel.FMin, j.SpeedModel.FMax)
-	case "discrete":
-		sm, err = model.NewDiscrete(j.SpeedModel.Levels)
-	case "vdd-hopping":
-		sm, err = model.NewVddHopping(j.SpeedModel.Levels)
-	case "incremental":
-		sm, err = model.NewIncremental(j.SpeedModel.FMin, j.SpeedModel.FMax, j.SpeedModel.Delta)
-	default:
-		return nil, fmt.Errorf("core: unknown speed model kind %q", j.SpeedModel.Kind)
-	}
+	sm, err := j.SpeedModel.model()
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: j.Deadline}
 	if j.Reliability != nil {
-		rel := model.Reliability{
-			Lambda0:     j.Reliability.Lambda0,
-			Sensitivity: j.Reliability.Sensitivity,
-			FMin:        sm.FMin,
-			FMax:        sm.FMax,
-		}
-		in.Rel = &rel
+		in.Rel = j.Reliability.model(sm)
 		in.FRel = j.Reliability.FRel
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// model returns the reliability constraints; their speed bounds are
+// the speed model's.
+func (r *relJSON) model(sm model.SpeedModel) *model.Reliability {
+	return &model.Reliability{
+		Lambda0:     r.Lambda0,
+		Sensitivity: r.Sensitivity,
+		FMin:        sm.FMin,
+		FMax:        sm.FMax,
+	}
+}
+
+// Key returns the Hash that Build().Hash() would return, without
+// building the instance, and ok = false when the wire form alone
+// cannot tell:
+//   - "mapping" is omitted or empty, so the hashed mapping is the one
+//     list scheduling derives;
+//   - a non-zero "processors" disagrees with len(mapping), which Build
+//     rejects although "processors" is not part of the digest;
+//   - the speed model does not construct.
+//
+// A known key of an instance that Build rejects never equals the key
+// of a valid instance (up to hash collisions): every other field Build
+// checks is part of the digest. So a cache keyed by Key serves only
+// what a built instance would have been served.
+func (j *WireInstance) Key() (key string, ok bool) {
+	if len(j.Mapping) == 0 || (j.Processors != 0 && j.Processors != len(j.Mapping)) {
+		return "", false
+	}
+	sm, err := j.SpeedModel.model()
+	if err != nil {
+		return "", false
+	}
+	// AddEdge ignores duplicates and Hash sorts, so the digest covers
+	// the sorted edge set.
+	edges := slices.Clone(j.Edges)
+	slices.SortFunc(edges, compareEdges)
+	edges = slices.Compact(edges)
+	c := canonical{
+		n:        len(j.Tasks),
+		task:     func(i int) (string, float64) { return j.Tasks[i].Name, j.Tasks[i].Weight },
+		edges:    edges,
+		order:    j.Mapping,
+		speed:    &sm,
+		deadline: j.Deadline,
+	}
+	if j.Reliability != nil {
+		c.rel = j.Reliability.model(sm)
+		c.frel = j.Reliability.FRel
+	}
+	return c.digest(), true
+}
+
+// Identify returns the instance's Hash: from Key when the wire form
+// determines it, and otherwise from the instance Build returns, which
+// comes back too. in is nil when Key sufficed; err is Build's.
+func (j *WireInstance) Identify() (hash string, in *Instance, err error) {
+	if key, ok := j.Key(); ok {
+		return key, nil, nil
+	}
+	if in, err = j.Build(); err != nil {
+		return "", nil, err
+	}
+	return in.Hash(), in, nil
 }
 
 // resultJSON is the machine-readable representation of a Result.

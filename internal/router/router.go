@@ -499,32 +499,42 @@ func (rt *Router) pickBy(p *pool, key string, alive func(int) bool) int {
 
 // routingKey derives the affinity key for one request body. Bodies
 // carrying an instance key on the canonical core.Instance.Hash — the
-// same hash that keys every backend's result cache, so repeats (and a
-// simulate following its solve) land on the backend already holding
-// the bytes. Anything else, including bodies the backend will reject,
-// keys on the raw bytes: still deterministic, spread by FNV.
+// same hash that keys every backend's result cache and prefixes every
+// job ID, so repeats (and a simulate following its solve) land on the
+// backend already holding the bytes. The body is decoded once and
+// keyed by core.WireInstance.Identify, the backend's own keyer, which
+// builds the instance only when its wire form lacks a mapping.
+// Anything else, including instances that neither key nor build, keys
+// on the raw bytes: still deterministic, spread by FNV.
 func routingKey(kind string, body []byte) string {
 	switch kind {
 	case "solve", "simulate", "jobs":
-		var probe struct {
-			Instance json.RawMessage `json:"instance"`
+		var req struct {
+			Instance *core.WireInstance `json:"instance"`
 		}
-		if json.Unmarshal(body, &probe) == nil && len(probe.Instance) > 0 {
-			if in, err := core.UnmarshalInstance(probe.Instance); err == nil {
-				return in.Hash()
+		if json.Unmarshal(body, &req) == nil && req.Instance != nil {
+			if hash, _, err := req.Instance.Identify(); err == nil {
+				return hash
 			}
 		}
 	}
-	return "body:" + strconv.FormatUint(hashKey(string(body)), 16)
+	return bodyKey(body)
 }
 
-// instanceKey keys one batch item: the canonical instance hash when
-// the item parses, the raw bytes otherwise.
+// instanceKey keys one batch item the way routingKey keys a body's
+// instance.
 func instanceKey(raw json.RawMessage) string {
-	if in, err := core.UnmarshalInstance(raw); err == nil {
-		return in.Hash()
+	var w core.WireInstance
+	if json.Unmarshal(raw, &w) == nil {
+		if hash, _, err := w.Identify(); err == nil {
+			return hash
+		}
 	}
-	return "body:" + strconv.FormatUint(hashKey(string(raw)), 16)
+	return bodyKey(raw)
+}
+
+func bodyKey(body []byte) string {
+	return "body:" + strconv.FormatUint(hashKey(string(body)), 16)
 }
 
 // errNoBackend is the all-evicted outcome: 503, distinct from the

@@ -66,7 +66,7 @@ func (o *solveOptions) coreOptions() ([]core.Option, *core.Config, error) {
 }
 
 type solveRequest struct {
-	Instance json.RawMessage `json:"instance"`
+	Instance *core.WireInstance `json:"instance"`
 	solveOptions
 }
 
@@ -157,6 +157,15 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 // success. A follower whose leader died of the leader's own deadline
 // retries as leader if this request still has time left.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, compute func(ctx context.Context) ([]byte, error)) {
+	if !s.serveHit(w, r, key) {
+		s.serveMiss(w, r, key, timeoutMS, compute)
+	}
+}
+
+// serveHit is serveCached's priority lane on its own: it answers from
+// the cache and reports true on a hit, and reports false having
+// written nothing on a miss.
+func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, key string) bool {
 	tr := obs.TraceFromContext(r.Context())
 	var begin time.Time
 	if tr != nil {
@@ -165,9 +174,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	if out, ok := s.cache.Get(key); ok {
 		tr.Span("cache.lookup", begin, "hit")
 		writeCached(w, "hit", out)
-		return
+		return true
 	}
 	tr.Span("cache.lookup", begin, "miss")
+	return false
+}
+
+// serveMiss is the rest of serveCached, for a key serveHit missed.
+func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, compute func(ctx context.Context) ([]byte, error)) {
+	tr := obs.TraceFromContext(r.Context())
+	var begin time.Time
 	ctx, cancel := s.solveContext(r, timeoutMS)
 	defer cancel()
 	for {
@@ -224,11 +240,14 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-// handleSolve serves POST /v1/solve: unmarshal, then run the
-// serveCached pipeline (priority-lane cache hit, singleflight
-// coalescing, admission-controlled solve). The response body is
-// core.MarshalResult JSON, byte-cached so a hit costs no solver or
-// encoder work.
+// handleSolve serves POST /v1/solve: decode the body once, key the
+// instance from its wire form, then run the serveCached pipeline
+// (priority-lane cache hit, singleflight coalescing,
+// admission-controlled solve). The instance is built only when the
+// wire form cannot give the key (no explicit mapping) or on a miss, so
+// a hit on a mapped instance costs no DAG, mapping or validation work.
+// The response body is core.MarshalResult JSON, byte-cached so a hit
+// costs no solver or encoder work either.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
 	if err != nil {
@@ -240,13 +259,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "parsing request: "+err.Error())
 		return
 	}
-	if len(req.Instance) == 0 {
+	if req.Instance == nil {
 		s.writeError(w, http.StatusBadRequest, `request is missing "instance"`)
-		return
-	}
-	in, err := core.UnmarshalInstance(req.Instance)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	opts, cfg, err := req.coreOptions()
@@ -254,17 +268,46 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeHTTPError(w, err)
 		return
 	}
-	key := in.Hash() + "|" + cfg.Fingerprint()
-	s.serveCached(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+	hash, in, err := req.Instance.Identify()
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	key := hash + "|" + cfg.Fingerprint()
+	if s.serveHit(w, r, key) {
+		return
+	}
+	if in == nil {
+		if in, err = req.Instance.Build(); err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
+	s.serveMiss(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		_, out, err := s.solveCached(ctx, in, opts, key)
 		return out, err
 	})
 }
 
 type batchRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-	Workers   int               `json:"workers,omitempty"`
+	Instances []batchInstance `json:"instances"`
+	Workers   int             `json:"workers,omitempty"`
 	solveOptions
+}
+
+// batchInstance is one decoded batch item. A malformed item keeps its
+// decode error here instead of failing the whole request, so it lands
+// in its own item like any other per-instance error.
+type batchInstance struct {
+	core.WireInstance
+	err error
+}
+
+func (b *batchInstance) UnmarshalJSON(data []byte) error {
+	if err := json.Unmarshal(data, &b.WireInstance); err != nil {
+		b.err = fmt.Errorf("core: %w", err)
+	}
+	return nil
 }
 
 // batchItemJSON is one per-instance outcome; exactly one of Result and
@@ -282,10 +325,11 @@ type batchResponse struct {
 }
 
 // handleBatch serves POST /v1/batch: per-instance cache lookups first,
-// then one core.SolveAll worker pool over the misses. Like SolveAll, a
-// batch never fails as a whole — malformed instances and per-instance
-// solve errors land in their item while the rest solve normally.
-// Items are returned in input order.
+// keyed from each item's wire form as /v1/solve keys them, then one
+// core.SolveAll worker pool over the misses; only misses are built.
+// Like SolveAll, a batch never fails as a whole — malformed instances
+// and per-instance solve errors land in their item while the rest
+// solve normally. Items are returned in input order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
 	if err != nil {
@@ -315,14 +359,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var instances []*core.Instance
 	slotByKey := map[string]int{} // dedups identical instances within the batch
 	dups := map[int][]int{}       // slot → additional item indices sharing its key
-	for i, raw := range req.Instances {
+	for i := range req.Instances {
+		item := &req.Instances[i]
 		resp.Items[i].Index = i
-		in, err := core.UnmarshalInstance(raw)
+		if item.err != nil {
+			resp.Items[i].Error = item.err.Error()
+			continue
+		}
+		hash, in, err := item.Identify()
 		if err != nil {
 			resp.Items[i].Error = err.Error()
 			continue
 		}
-		keys[i] = in.Hash() + "|" + fp
+		keys[i] = hash + "|" + fp
 		if out, ok := s.cache.Get(keys[i]); ok {
 			resp.Items[i].Result = out
 			resp.Items[i].Cached = true
@@ -332,6 +381,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if slot, ok := slotByKey[keys[i]]; ok {
 			dups[slot] = append(dups[slot], i)
 			continue
+		}
+		if in == nil {
+			if in, err = item.Build(); err != nil {
+				resp.Items[i].Error = err.Error()
+				continue
+			}
 		}
 		slotByKey[keys[i]] = len(toSolve)
 		toSolve = append(toSolve, i)

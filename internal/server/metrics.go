@@ -27,7 +27,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Counter("energyschedd_simulated_total", "Monte-Carlo campaigns executed (cache misses).", "simulated", &s.simulated)
 	r.Counter("energyschedd_swept_total", "Workload-class sweeps executed (cache misses).", "swept", &s.swept)
 	r.Counter("energyschedd_errors_total", "Requests answered with a 4xx/5xx status.", "errors", &s.errors)
-	r.Counter("energyschedd_timeouts_total", "Solves aborted by deadline or disconnect.", "timeouts", &s.timeouts)
+	r.Counter("energyschedd_timeouts_total", "Solves that ran out of their deadline (caller cancellations excluded).", "timeouts", &s.timeouts)
 	r.Gauge("energyschedd_inflight", "Requests currently holding a semaphore slot.", "inFlight", &s.inflight)
 	r.GaugeFunc("energyschedd_inflight_max", "In-flight semaphore capacity.", "maxInFlight",
 		func() float64 { return float64(s.cfg.MaxInFlight) })

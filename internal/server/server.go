@@ -160,7 +160,7 @@ type Server struct {
 	simulated atomic.Int64 // Monte-Carlo campaigns executed (cache misses)
 	swept     atomic.Int64 // workload-class sweeps executed (cache misses)
 	errors    atomic.Int64 // requests answered with a 4xx/5xx status
-	timeouts  atomic.Int64 // solves aborted by deadline or disconnect
+	timeouts  atomic.Int64 // solves that ran out of their deadline
 	inflight  atomic.Int64 // requests currently holding a semaphore slot
 	queued    atomic.Int64 // requests currently waiting for a slot
 	shed      atomic.Int64 // requests answered 429 by admission control
@@ -393,11 +393,16 @@ func (s *Server) writeHTTPError(w http.ResponseWriter, err error) {
 
 // solveStatus maps a core.Solve error to an HTTP status: deadline or
 // cancellation → 504, infeasible instance → 422, anything else (bad
-// instance, unsupported solver/instance pairing) → 400.
+// instance, unsupported solver/instance pairing) → 400. Only a missed
+// deadline counts in the timeouts counter: a cancellation is the
+// caller leaving (a closed connection, a router's losing hedge leg),
+// not the server running out of time.
 func (s *Server) solveStatus(err error) int {
 	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, core.ErrInfeasible):
 		return http.StatusUnprocessableEntity

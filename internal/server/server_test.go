@@ -42,6 +42,11 @@ const chainInstance = `{
   "deadline": 2
 }`
 
+// chainInstanceMapped is chainInstance with its single-processor
+// mapping spelled out: the same problem, hence the same Instance.Hash.
+var chainInstanceMapped = strings.Replace(chainInstance, `"processors": 1,`, `"processors": 1,
+  "mapping": [[0, 1]],`, 1)
+
 func slowInstance() string {
 	return fmt.Sprintf(`{
   "tasks": [{"name": %q, "weight": 1}],
