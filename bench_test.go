@@ -92,7 +92,7 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.Solve(p); err != nil {
+		if _, err := lp.Solve(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,8 +137,38 @@ func BenchmarkVddLP32Tasks(b *testing.B) {
 	_, cp, _ := cg.LongestPath(durs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vdd.SolveBiCrit(g, mp, sm, cp*2); err != nil {
+		if _, err := vdd.SolveBiCrit(context.Background(), g, mp, sm, cp*2); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVddLP16Tasks solves one VDD-HOPPING LP of every workload
+// class per op, in the shape of the service's solve-cold instances:
+// 16 tasks list-scheduled by critical path on 2 processors, the XScale
+// ladder, and the deadline at twice the list makespan at fmax.
+func BenchmarkVddLP16Tasks(b *testing.B) {
+	sm, _ := model.NewVddHopping(model.XScaleLevels())
+	type inst struct {
+		g  *dag.Graph
+		mp *platform.Mapping
+		D  float64
+	}
+	var ins []inst
+	for i, cls := range workload.AllClasses() {
+		g := cls.Generate(rand.New(rand.NewSource(int64(10+i))), 16, workload.UniformWeights)
+		ls, err := listsched.CriticalPath(g, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, inst{g, ls.Mapping, 2 * ls.Makespan / sm.FMax})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			if _, err := vdd.SolveBiCrit(context.Background(), in.g, in.mp, sm, in.D); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

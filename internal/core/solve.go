@@ -102,7 +102,8 @@ func solve(ctx context.Context, in *Instance, cfg *Config, waitAbandoned bool) (
 // non-preemptible) algorithm is still running. Without wait, an
 // abandoned solver goroutine finishes on its own and its result is
 // dropped; with wait, the call blocks until the goroutine exits so
-// callers can bound total concurrency.
+// callers can bound total concurrency. A solver that checks ctx, such
+// as vdd-lp, exits within a few pivots either way.
 //
 // A panic inside the solver is re-raised in the calling goroutine
 // rather than crashing the process from an anonymous one: the caller

@@ -5,15 +5,18 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"energysched/internal/dag"
+	"energysched/internal/listsched"
 	"energysched/internal/model"
 	"energysched/internal/platform"
 	"energysched/internal/schedule"
+	"energysched/internal/workload"
 )
 
 // --- registry ---
@@ -441,6 +444,37 @@ func TestSolveAllPerItemTimeout(t *testing.T) {
 		if !errors.Is(it.Err, context.DeadlineExceeded) {
 			t.Errorf("item %d: err = %v, want DeadlineExceeded", i, it.Err)
 		}
+	}
+}
+
+// TestSolveAllStopsAbandonedLP pins that the VDD-HOPPING LP honours
+// its context. SolveAll waits for a timed-out item's solver goroutine
+// before it returns, so without the check inside the simplex loop the
+// call would last as long as the whole LP: over 20 s for this 90-task
+// tree on a 24-level ladder (a 2-CPU Xeon at go1.24).
+func TestSolveAllStopsAbandonedLP(t *testing.T) {
+	g := workload.Tree(rand.New(rand.NewSource(1)), 90, workload.UniformWeights)
+	ls, err := listsched.CriticalPath(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := make([]float64, 24)
+	for i := range levels {
+		levels[i] = float64(i+1) / float64(len(levels))
+	}
+	sm, err := model.NewVddHopping(levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &Instance{Graph: g, Mapping: ls.Mapping, Speed: sm, Deadline: 2 * ls.Makespan / sm.FMax}
+	start := time.Now()
+	items := SolveAll(context.Background(), []*Instance{in}, WithTimeout(20*time.Millisecond))
+	elapsed := time.Since(start)
+	if !errors.Is(items[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", items[0].Err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("SolveAll returned after %v; the abandoned LP kept running", elapsed)
 	}
 }
 

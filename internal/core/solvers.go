@@ -92,7 +92,7 @@ func (vddSolver) Supports(in *Instance) bool {
 }
 
 func (vddSolver) Solve(ctx context.Context, in *Instance, cfg *Config) (*Result, error) {
-	res, err := vdd.SolveBiCrit(in.Graph, in.Mapping, in.Speed, in.Deadline)
+	res, err := vdd.SolveBiCrit(ctx, in.Graph, in.Mapping, in.Speed, in.Deadline)
 	if err != nil {
 		return nil, mapInfeasible(err)
 	}

@@ -1,6 +1,7 @@
 package discrete
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ func TestVddLowerBoundsDiscrete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d exact: %v", trial, err)
 		}
-		ve, err := vdd.SolveBiCrit(g, mp, smV, D)
+		ve, err := vdd.SolveBiCrit(context.Background(), g, mp, smV, D)
 		if err != nil {
 			t.Fatalf("trial %d vdd: %v", trial, err)
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -355,7 +356,7 @@ func E06VddLP() *Report {
 			panic(err)
 		}
 		start := time.Now()
-		vres, err := vdd.SolveBiCrit(g, mp, smV, D)
+		vres, err := vdd.SolveBiCrit(context.Background(), g, mp, smV, D)
 		if err != nil {
 			panic(err)
 		}

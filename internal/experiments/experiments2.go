@@ -125,7 +125,7 @@ func E10TwoSpeeds() *Report {
 		if err != nil {
 			panic(err)
 		}
-		res, err := vdd.SolveBiCrit(g, mp, smV, cp*1.7)
+		res, err := vdd.SolveBiCrit(context.Background(), g, mp, smV, cp*1.7)
 		if err != nil {
 			panic(err)
 		}
@@ -194,7 +194,7 @@ func E11VddTriCrit() *Report {
 			if !valid {
 				allValid = false
 			}
-			exact, _, err := vdd.SolveTriCritRestricted(g, mp, smV, in.Deadline, rel, in.FRel)
+			exact, _, err := vdd.SolveTriCritRestricted(context.Background(), g, mp, smV, in.Deadline, rel, in.FRel)
 			if err != nil {
 				panic(err)
 			}
@@ -353,7 +353,7 @@ func E14DeadlineSweep() *Report {
 		if err != nil {
 			panic(err)
 		}
-		vres, err := vdd.SolveBiCrit(g, mp, smV, D)
+		vres, err := vdd.SolveBiCrit(context.Background(), g, mp, smV, D)
 		if err != nil {
 			panic(err)
 		}

@@ -1,5 +1,5 @@
-// Package lp implements a dense two-phase primal simplex solver for
-// linear programs in the form
+// Package lp implements a two-phase primal simplex solver for linear
+// programs in the form
 //
 //	minimize    c·x
 //	subject to  a_k·x {≤,=,≥} b_k   for every constraint k
@@ -10,16 +10,31 @@
 // linear program. Bland's anti-cycling rule guarantees termination;
 // problem sizes in this repository are small (hundreds of variables),
 // so a dense tableau is appropriate and keeps the implementation
-// auditable. The tableau lives in one contiguous row-major array and
-// reduced costs are accumulated row-wise, so pivots and pricing walk
-// memory sequentially and the solver performs no per-pivot
-// allocation.
+// auditable. The tableau lives in one contiguous row-major array, and
+// the kernel does only the work the LP's sparsity leaves:
+//
+//   - a pivot gathers the nonzero columns of the scaled pivot row
+//     once, then updates only those columns, in only the rows whose
+//     entry in the pivot column is nonzero;
+//   - phase 2 eliminates only the columns below the artificial ones,
+//     which are barred from entering and never read again;
+//   - pricing computes reduced costs one column at a time, summing
+//     over the rows whose basic cost is nonzero in ascending row
+//     order, and stops at the first improving column (Bland's rule).
+//
+// Every operation skipped is x −= f·0, which can at most flip the sign
+// of a zero that no comparison and no output reads, so the pivot
+// sequence and the returned Solution are bit-identical to a dense
+// sweep. The tableau and its scratch are pooled: a warmed solve
+// allocates only its Solution.
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Sense is the direction of a linear constraint.
@@ -81,8 +96,18 @@ var (
 
 const eps = 1e-9
 
+// cancelCheckPivots is how many pivots run between two looks at the
+// context: often enough that a cancelled solve stops within
+// milliseconds, rarely enough that the check costs nothing.
+const cancelCheckPivots = 8
+
+// tableaus pools tableaus across Solve calls, so repeated solves
+// reuse the tableau and its scratch instead of reallocating them.
+var tableaus = sync.Pool{New: func() any { return new(tableau) }}
+
 // Solve returns an optimal solution, ErrInfeasible or ErrUnbounded.
-func Solve(p *Problem) (*Solution, error) {
+// It stops early with ctx.Err() once ctx is done.
+func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
@@ -113,14 +138,9 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 	}
 	total := n + nSlack + nArt
-	t := &tableau{
-		m:     m,
-		n:     total,
-		a:     make([]float64, m*total),
-		b:     make([]float64, m),
-		basis: make([]int, m),
-		rc:    make([]float64, total),
-	}
+	t := tableaus.Get().(*tableau)
+	defer tableaus.Put(t)
+	t.reset(m, total)
 	artStart := n + nSlack
 	slackCol := n
 	artCol := artStart
@@ -142,6 +162,7 @@ func Solve(p *Problem) (*Solution, error) {
 		} else {
 			copy(row, c.Coeffs)
 		}
+		clear(row[n:])
 		t.b[k] = rhs
 		switch sense {
 		case LE:
@@ -163,25 +184,27 @@ func Solve(p *Problem) (*Solution, error) {
 
 	// Phase 1: minimize the sum of artificial variables.
 	if nArt > 0 {
-		c1 := make([]float64, total)
+		clear(t.cost[:artStart])
 		for j := artStart; j < total; j++ {
-			c1[j] = 1
+			t.cost[j] = 1
 		}
-		z, err := t.simplex(c1, total)
+		z, err := t.simplex(ctx, total)
 		if err != nil {
 			return nil, err
 		}
 		if z > 1e-7 {
 			return nil, ErrInfeasible
 		}
-		// Drive remaining artificial variables out of the basis.
+		// Drive remaining artificial variables out of the basis. From
+		// here on no artificial column is read, so pivots stop
+		// eliminating them.
 		for r := 0; r < t.m; r++ {
 			if t.basis[r] >= artStart {
-				row := t.a[r*total : r*total+total]
+				row := t.a[r*total : r*total+artStart]
 				pivoted := false
-				for j := 0; j < artStart; j++ {
-					if math.Abs(row[j]) > eps {
-						t.pivot(r, j)
+				for j, v := range row {
+					if math.Abs(v) > eps {
+						t.pivot(r, j, artStart)
 						pivoted = true
 						break
 					}
@@ -197,11 +220,11 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 	}
 
-	// Phase 2: original objective, artificial columns barred from
-	// entering (enterLimit stops the pricing scan before them).
-	c2 := make([]float64, total)
-	copy(c2, p.Objective)
-	if _, err := t.simplex(c2, artStart); err != nil {
+	// Phase 2: original objective over the columns below artStart;
+	// the artificial columns are barred from entering.
+	copy(t.cost, p.Objective)
+	clear(t.cost[n:])
+	if _, err := t.simplex(ctx, artStart); err != nil {
 		return nil, err
 	}
 
@@ -246,25 +269,58 @@ func validate(p *Problem) error {
 	return nil
 }
 
-// tableau is a dense simplex tableau kept in canonical form with
-// respect to the current basis. Rows live back to back in one flat
-// array: row r occupies a[r*n : (r+1)*n].
+// tableau is a simplex tableau kept in canonical form with respect to
+// the current basis, plus the scratch its kernel reuses. Rows live
+// back to back in one flat array: row r occupies a[r*n : (r+1)*n].
 type tableau struct {
 	m, n  int
 	a     []float64 // m × n row-major, updated in place
 	b     []float64 // m, current basic values (≥ 0)
 	basis []int     // basis[r] = variable basic in row r
-	rc    []float64 // reduced-cost scratch, length n
+	cost  []float64 // n, the current phase's cost vector
+	// Scratch rebuilt by every pivot or pricing pass; reset gives each
+	// enough capacity that appending never reallocates.
+	nz    []int     // nonzero columns of the scaled pivot row
+	cbOff []int     // a-offsets of the rows with nonzero basic cost
+	cbVal []float64 // and those basic costs
 }
 
-// pivot performs a Gauss-Jordan pivot on (r, c) and updates the basis.
-// Rows are updated in place through flat slices; no row is copied.
-func (t *tableau) pivot(r, c int) {
+// reset sizes t for an m × n problem. The caller overwrites every
+// entry of a, b and basis.
+func (t *tableau) reset(m, n int) {
+	t.m, t.n = m, n
+	t.a = resize(t.a, m*n)
+	t.b = resize(t.b, m)
+	t.basis = resize(t.basis, m)
+	t.cost = resize(t.cost, n)
+	t.nz = resize(t.nz, n)[:0]
+	t.cbOff = resize(t.cbOff, m)[:0]
+	t.cbVal = resize(t.cbVal, m)[:0]
+}
+
+// resize returns s with length n, reallocating only when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// pivot performs a Gauss-Jordan pivot on (r, c) over the columns
+// below width and updates the basis. Only the nonzero columns of the
+// scaled pivot row are updated, in the rows with a nonzero entry in
+// column c.
+func (t *tableau) pivot(r, c, width int) {
 	n := t.n
-	rowR := t.a[r*n : r*n+n]
+	rowR := t.a[r*n : r*n+width]
 	inv := 1 / rowR[c]
-	for j := range rowR {
-		rowR[j] *= inv
+	nz := t.nz[:0]
+	for j, v := range rowR {
+		if v != 0 {
+			rowR[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
 	t.b[r] *= inv
 	rowR[c] = 1 // kill round-off
@@ -272,12 +328,12 @@ func (t *tableau) pivot(r, c int) {
 		if i == r {
 			continue
 		}
-		rowI := t.a[i*n : i*n+n]
+		rowI := t.a[i*n : i*n+width]
 		f := rowI[c]
 		if f == 0 {
 			continue
 		}
-		for j := range rowI {
+		for _, j := range nz {
 			rowI[j] -= f * rowR[j]
 		}
 		t.b[i] -= f * t.b[r]
@@ -289,35 +345,39 @@ func (t *tableau) pivot(r, c int) {
 	t.basis[r] = c
 }
 
-// simplex minimizes cost over the current BFS using Bland's rule.
-// Only columns below enterLimit may enter the basis (phase 2 passes
-// artStart to bar the artificial columns). Returns the optimal
-// objective value of the basic solution.
-//
-// Reduced costs are accumulated row-wise into the rc scratch vector —
-// one sequential sweep over the tableau per iteration instead of a
-// strided column walk per candidate column.
-func (t *tableau) simplex(cost []float64, enterLimit int) (float64, error) {
+// simplex minimizes t.cost over the current BFS using Bland's rule.
+// Only columns below width are priced, may enter the basis and are
+// kept up to date by pivots (phase 2 passes artStart to bar the
+// artificial columns). Returns the optimal objective value of the
+// basic solution.
+func (t *tableau) simplex(ctx context.Context, width int) (float64, error) {
 	maxIter := 50 * (t.m + t.n + 10)
 	n := t.n
-	rc := t.rc
+	cost := t.cost
 	for iter := 0; iter < maxIter; iter++ {
-		// rc_j = c_j − Σ_r c_basis[r]·a[r][j].
-		copy(rc, cost)
-		for r := 0; r < t.m; r++ {
-			cb := cost[t.basis[r]]
-			if cb == 0 {
-				continue
+		if iter%cancelCheckPivots == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
 			}
-			row := t.a[r*n : r*n+n]
-			for j, v := range row {
-				rc[j] -= cb * v
+		}
+		// rc_j = c_j − Σ_r c_basis[r]·a[r][j] over the rows with a
+		// nonzero basic cost, in ascending row order; the first j with
+		// rc_j < −eps enters (Bland).
+		cbOff, cbVal := t.cbOff[:0], t.cbVal[:0]
+		for r, v := range t.basis {
+			if cb := cost[v]; cb != 0 {
+				cbOff = append(cbOff, r*n)
+				cbVal = append(cbVal, cb)
 			}
 		}
 		enter := -1
-		for j := 0; j < enterLimit; j++ {
-			if rc[j] < -eps {
-				enter = j // Bland: first improving index
+		for j := 0; j < width; j++ {
+			rc := cost[j]
+			for k, off := range cbOff {
+				rc -= cbVal[k] * t.a[off+j]
+			}
+			if rc < -eps {
+				enter = j
 				break
 			}
 		}
@@ -344,7 +404,7 @@ func (t *tableau) simplex(cost []float64, enterLimit int) (float64, error) {
 		if leave == -1 {
 			return 0, ErrUnbounded
 		}
-		t.pivot(leave, enter)
+		t.pivot(leave, enter, width)
 	}
 	return 0, errors.New("lp: iteration limit exceeded (cycling?)")
 }

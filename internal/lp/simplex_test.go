@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -13,7 +15,7 @@ func TestSimpleLE(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -2}}
 	p.AddConstraint([]float64{1, 1}, LE, 4)
 	p.AddConstraint([]float64{0, 1}, LE, 2)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func TestEqualityConstraint(t *testing.T) {
 	// min x1 + x2  s.t. x1 + 2x2 = 4 → x = (0,2), obj = 2.
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint([]float64{1, 2}, EQ, 4)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestGEConstraint(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{2, 3}}
 	p.AddConstraint([]float64{1, 1}, GE, 10)
 	p.AddConstraint([]float64{1, 0}, LE, 4)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestInfeasible(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint([]float64{1}, GE, 5)
 	p.AddConstraint([]float64{1}, LE, 3)
-	if _, err := Solve(p); err != ErrInfeasible {
+	if _, err := Solve(context.Background(), p); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -61,7 +63,7 @@ func TestInfeasible(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{-1}}
 	p.AddConstraint([]float64{-1}, LE, 0) // x ≥ 0 only
-	if _, err := Solve(p); err != ErrUnbounded {
+	if _, err := Solve(context.Background(), p); err != ErrUnbounded {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -70,7 +72,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// -x1 ≤ -2  ⇔  x1 ≥ 2; min x1 → 2.
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint([]float64{-1}, LE, -2)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestDegenerateLP(t *testing.T) {
 	p.AddConstraint([]float64{0.25, -60, -0.04}, LE, 0)
 	p.AddConstraint([]float64{0.5, -90, -0.02}, LE, 0)
 	p.AddConstraint([]float64{0, 0, 1}, LE, 1)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestRedundantEqualities(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 2}}
 	p.AddConstraint([]float64{1, 1}, EQ, 3)
 	p.AddConstraint([]float64{2, 2}, EQ, 6)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,23 +117,23 @@ func TestValidation(t *testing.T) {
 		{NumVars: 1, Objective: []float64{math.NaN()}},
 	}
 	for i, p := range bad {
-		if _, err := Solve(p); err == nil {
+		if _, err := Solve(context.Background(), p); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
 	}
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint([]float64{1, 2}, LE, 1)
-	if _, err := Solve(p); err == nil {
+	if _, err := Solve(context.Background(), p); err == nil {
 		t.Error("coefficient-length mismatch accepted")
 	}
 	p2 := &Problem{NumVars: 1, Objective: []float64{1}}
 	p2.AddConstraint([]float64{math.Inf(1)}, LE, 1)
-	if _, err := Solve(p2); err == nil {
+	if _, err := Solve(context.Background(), p2); err == nil {
 		t.Error("inf coefficient accepted")
 	}
 	p3 := &Problem{NumVars: 1, Objective: []float64{1}}
 	p3.AddConstraint([]float64{1}, LE, math.NaN())
-	if _, err := Solve(p3); err == nil {
+	if _, err := Solve(context.Background(), p3); err == nil {
 		t.Error("NaN RHS accepted")
 	}
 }
@@ -143,7 +145,7 @@ func TestKnownDietProblem(t *testing.T) {
 	p.AddConstraint([]float64{5, 7}, GE, 8)
 	p.AddConstraint([]float64{4, 2}, GE, 15)
 	p.AddConstraint([]float64{2, 1}, GE, 3)
-	s, err := Solve(p)
+	s, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestRandomFeasibleLPs(t *testing.T) {
 				p.AddConstraint(coeffs, LE, dot+rng.Float64())
 			}
 		}
-		s, err := Solve(p)
+		s, err := Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -228,4 +230,64 @@ func TestSenseString(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" {
 		t.Error("Sense.String wrong")
 	}
+}
+
+// TestSolveAllocs pins the allocations of a warmed Solve: the tableau
+// and its scratch come from the pool, so only the Solution and its X
+// remain.
+func TestSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop items, so allocation counts vary")
+	}
+	rng := rand.New(rand.NewSource(5))
+	p := randomLP(rng)
+	for len(p.Constraints) < 10 {
+		p = randomLP(rng)
+	}
+	if _, err := Solve(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Solve(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("warmed Solve allocates %v objects per run, want ≤ 2", allocs)
+	}
+}
+
+// TestSolveConcurrent solves LPs of different sizes from several
+// goroutines at once through the shared tableau pool and requires
+// each answer to match, bit for bit, the one solved alone.
+func TestSolveConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	probs := make([]*Problem, 40)
+	want := make([]*Solution, len(probs))
+	for i := range probs {
+		probs[i] = randomLP(rng)
+		want[i], _ = Solve(context.Background(), probs[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range probs {
+				i := (k + 10*w) % len(probs)
+				got, err := Solve(context.Background(), probs[i])
+				if (err == nil) != (want[i] != nil) {
+					t.Errorf("LP %d: error %v", i, err)
+					continue
+				}
+				if err != nil {
+					continue
+				}
+				if math.Float64bits(got.Objective) != math.Float64bits(want[i].Objective) {
+					t.Errorf("LP %d: objective %v, alone %v", i, got.Objective, want[i].Objective)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package vdd
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -44,8 +45,9 @@ type TriCritResult struct {
 }
 
 // SolveTriCritFixed solves TRI-CRIT under VDD-HOPPING for a fixed
-// re-execution set with the equal-split reliability budget.
-func SolveTriCritFixed(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64, rel model.Reliability, frel float64, reexec []bool) (*TriCritResult, error) {
+// re-execution set with the equal-split reliability budget. It stops
+// early with ctx.Err() once ctx is done.
+func SolveTriCritFixed(ctx context.Context, g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64, rel model.Reliability, frel float64, reexec []bool) (*TriCritResult, error) {
 	if sm.Kind != model.VddHopping {
 		return nil, fmt.Errorf("vdd: speed model is %v, want VDD-HOPPING", sm.Kind)
 	}
@@ -92,7 +94,10 @@ func SolveTriCritFixed(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, 
 	aIdx := func(slot, s int) int { return slot*m + s }
 	cIdx := func(i int) int { return slots*m + i }
 
-	prob := &lp.Problem{NumVars: nv, Objective: make([]float64, nv)}
+	edges := cg.Edges()
+	nRows := 2*slots + 2*n + len(edges)
+	rows := newRowSlab(nRows, nv)
+	prob := &lp.Problem{NumVars: nv, Objective: make([]float64, nv), Constraints: make([]lp.Constraint, 0, nRows)}
 	for slot := 0; slot < slots; slot++ {
 		for s := 0; s < m; s++ {
 			f := sm.Levels[s]
@@ -100,14 +105,14 @@ func SolveTriCritFixed(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, 
 		}
 	}
 	addWork := func(slot int, w float64) {
-		row := make([]float64, nv)
+		row := rows.next()
 		for s := 0; s < m; s++ {
 			row[aIdx(slot, s)] = sm.Levels[s]
 		}
 		prob.AddConstraint(row, lp.EQ, w)
 	}
 	addRel := func(slot int, budget float64) {
-		row := make([]float64, nv)
+		row := rows.next()
 		for s := 0; s < m; s++ {
 			row[aIdx(slot, s)] = rel.FaultRate(sm.Levels[s])
 		}
@@ -137,15 +142,15 @@ func SolveTriCritFixed(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, 
 	}
 	// Release: C_i ≥ occupancy(i).
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(i)] = 1
 		occRow(i, row, -1)
 		prob.AddConstraint(row, lp.GE, 0)
 	}
 	// Precedence: C_v ≥ C_u + occupancy(v).
-	for _, e := range cg.Edges() {
+	for _, e := range edges {
 		u, v := e[0], e[1]
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(v)] = 1
 		row[cIdx(u)] = -1
 		occRow(v, row, -1)
@@ -153,12 +158,12 @@ func SolveTriCritFixed(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, 
 	}
 	// Deadline.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(i)] = 1
 		prob.AddConstraint(row, lp.LE, deadline)
 	}
 
-	sol, err := lp.Solve(prob)
+	sol, err := lp.Solve(ctx, prob)
 	if err != nil {
 		if err == lp.ErrInfeasible {
 			return nil, ErrInfeasible
@@ -204,8 +209,9 @@ const MaxTriCritExactTasks = 14
 // SolveTriCritRestricted enumerates every re-execution subset and
 // solves the fixed-set LP for each — exact within the equal-split
 // class, exponential overall (the problem is NP-complete). Returns the
-// best result and its re-execution set.
-func SolveTriCritRestricted(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64, rel model.Reliability, frel float64) (*TriCritResult, []bool, error) {
+// best result and its re-execution set. It stops early with ctx.Err()
+// once ctx is done.
+func SolveTriCritRestricted(ctx context.Context, g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64, rel model.Reliability, frel float64) (*TriCritResult, []bool, error) {
 	n := g.N()
 	if n > MaxTriCritExactTasks {
 		return nil, nil, fmt.Errorf("vdd: %d tasks exceed exact-solver cap %d", n, MaxTriCritExactTasks)
@@ -217,8 +223,11 @@ func SolveTriCritRestricted(g *dag.Graph, mp *platform.Mapping, sm model.SpeedMo
 		for i := 0; i < n; i++ {
 			reexec[i] = mask&(1<<uint(i)) != 0
 		}
-		res, err := SolveTriCritFixed(g, mp, sm, deadline, rel, frel, reexec)
+		res, err := SolveTriCritFixed(ctx, g, mp, sm, deadline, rel, frel, reexec)
 		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, nil, ctxErr
+			}
 			continue
 		}
 		if best == nil || res.Energy < best.Energy {

@@ -1,6 +1,7 @@
 package vdd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestSolveTriCritFixedNoReexecMatchesReliabilityBound(t *testing.T) {
 	sm := triLadder()
 	rel := triRel()
 	frel := 0.8
-	res, err := SolveTriCritFixed(g, mp, sm, 100, rel, frel, []bool{false})
+	res, err := SolveTriCritFixed(context.Background(), g, mp, sm, 100, rel, frel, []bool{false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestSolveTriCritFixedReexecCheaperWhenLoose(t *testing.T) {
 	sm := triLadder()
 	rel := triRel()
 	frel := 0.8
-	single, err := SolveTriCritFixed(g, mp, sm, 100, rel, frel, []bool{false})
+	single, err := SolveTriCritFixed(context.Background(), g, mp, sm, 100, rel, frel, []bool{false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := SolveTriCritFixed(g, mp, sm, 100, rel, frel, []bool{true})
+	re, err := SolveTriCritFixed(context.Background(), g, mp, sm, 100, rel, frel, []bool{true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSolveTriCritFixedScheduleValidates(t *testing.T) {
 	rel := triRel()
 	frel := 0.8
 	D := 30.0
-	res, err := SolveTriCritFixed(g, mp, sm, D, rel, frel, []bool{true, false})
+	res, err := SolveTriCritFixed(context.Background(), g, mp, sm, D, rel, frel, []bool{true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSolveTriCritRestrictedBeatsFixedChoices(t *testing.T) {
 	rel := triRel()
 	frel := 0.8
 	D := 40.0
-	best, set, err := SolveTriCritRestricted(g, mp, sm, D, rel, frel)
+	best, set, err := SolveTriCritRestricted(context.Background(), g, mp, sm, D, rel, frel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSolveTriCritRestrictedBeatsFixedChoices(t *testing.T) {
 		t.Fatalf("set = %v", set)
 	}
 	for _, re := range [][]bool{{false, false, false}, {true, true, true}} {
-		fixed, err := SolveTriCritFixed(g, mp, sm, D, rel, frel, re)
+		fixed, err := SolveTriCritFixed(context.Background(), g, mp, sm, D, rel, frel, re)
 		if err != nil {
 			continue
 		}
@@ -124,7 +125,7 @@ func TestSolveTriCritRestrictedUpperBoundsAdaptation(t *testing.T) {
 	// Loose enough that running both tasks re-executed at their f_inf
 	// bound fits on the single processor (occupancy 2Σw/f_inf).
 	D := 100.0
-	exact, _, err := SolveTriCritRestricted(g, mp, sm, D, rel, frel)
+	exact, _, err := SolveTriCritRestricted(context.Background(), g, mp, sm, D, rel, frel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +162,17 @@ func TestSolveTriCritFixedValidation(t *testing.T) {
 	mp, _ := platform.SingleProcessor(g)
 	sm := triLadder()
 	rel := triRel()
-	if _, err := SolveTriCritFixed(g, mp, sm, 10, rel, 0.8, []bool{true, false}); err == nil {
+	if _, err := SolveTriCritFixed(context.Background(), g, mp, sm, 10, rel, 0.8, []bool{true, false}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := SolveTriCritFixed(g, mp, sm, 10, rel, 5, []bool{false}); err == nil {
+	if _, err := SolveTriCritFixed(context.Background(), g, mp, sm, 10, rel, 5, []bool{false}); err == nil {
 		t.Error("frel above fmax accepted")
 	}
 	disc, _ := model.NewDiscrete([]float64{1})
-	if _, err := SolveTriCritFixed(g, mp, disc, 10, rel, 0.8, []bool{false}); err == nil {
+	if _, err := SolveTriCritFixed(context.Background(), g, mp, disc, 10, rel, 0.8, []bool{false}); err == nil {
 		t.Error("DISCRETE accepted")
 	}
-	if _, err := SolveTriCritFixed(g, mp, sm, 0.1, rel, 0.8, []bool{false}); err != ErrInfeasible {
+	if _, err := SolveTriCritFixed(context.Background(), g, mp, sm, 0.1, rel, 0.8, []bool{false}); err != ErrInfeasible {
 		t.Error("infeasible deadline not detected")
 	}
 }
@@ -183,7 +184,7 @@ func TestSolveTriCritRestrictedCap(t *testing.T) {
 	}
 	g := dag.IndependentGraph(ws...)
 	mp, _ := platform.SingleProcessor(g)
-	if _, _, err := SolveTriCritRestricted(g, mp, triLadder(), 1000, triRel(), 0.8); err == nil {
+	if _, _, err := SolveTriCritRestricted(context.Background(), g, mp, triLadder(), 1000, triRel(), 0.8); err == nil {
 		t.Error("oversize enumeration accepted")
 	}
 }
@@ -197,7 +198,7 @@ func TestTriCritTwoSpeedClaim(t *testing.T) {
 	mp, _ := platform.SingleProcessor(g)
 	sm := triLadder()
 	rel := triRel()
-	res, _, err := SolveTriCritRestricted(g, mp, sm, 35, rel, 0.8)
+	res, _, err := SolveTriCritRestricted(context.Background(), g, mp, sm, 35, rel, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}

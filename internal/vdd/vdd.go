@@ -11,6 +11,7 @@
 package vdd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -98,8 +99,9 @@ var ErrInfeasible = errors.New("vdd: infeasible deadline")
 //
 // minimizing Σ α(i,s)·f_s³. The constraint edges come from the
 // mapping's constraint graph, so processor exclusivity is encoded the
-// same way as precedence.
-func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64) (*Result, error) {
+// same way as precedence. It stops early with ctx.Err() once ctx is
+// done.
+func SolveBiCrit(ctx context.Context, g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadline float64) (*Result, error) {
 	if sm.Kind != model.VddHopping {
 		return nil, fmt.Errorf("vdd: speed model is %v, want VDD-HOPPING", sm.Kind)
 	}
@@ -133,7 +135,10 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 	alphaIdx := func(i, s int) int { return i*m + s }
 	cIdx := func(i int) int { return n*m + i }
 
-	prob := &lp.Problem{NumVars: nv, Objective: make([]float64, nv)}
+	edges := cg.Edges()
+	nRows := 3*n + len(edges)
+	rows := newRowSlab(nRows, nv)
+	prob := &lp.Problem{NumVars: nv, Objective: make([]float64, nv), Constraints: make([]lp.Constraint, 0, nRows)}
 	for i := 0; i < n; i++ {
 		for s := 0; s < m; s++ {
 			f := sm.Levels[s]
@@ -142,7 +147,7 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 	}
 	// Work equalities.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
+		row := rows.next()
 		for s := 0; s < m; s++ {
 			row[alphaIdx(i, s)] = sm.Levels[s]
 		}
@@ -150,7 +155,7 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 	}
 	// Release: C_i − Σ_s α(i,s) ≥ 0.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(i)] = 1
 		for s := 0; s < m; s++ {
 			row[alphaIdx(i, s)] = -1
@@ -158,9 +163,9 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 		prob.AddConstraint(row, lp.GE, 0)
 	}
 	// Precedence on the constraint graph.
-	for _, e := range cg.Edges() {
+	for _, e := range edges {
 		u, v := e[0], e[1]
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(v)] = 1
 		row[cIdx(u)] = -1
 		for s := 0; s < m; s++ {
@@ -170,12 +175,12 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 	}
 	// Deadline.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
+		row := rows.next()
 		row[cIdx(i)] = 1
 		prob.AddConstraint(row, lp.LE, deadline)
 	}
 
-	sol, err := lp.Solve(prob)
+	sol, err := lp.Solve(ctx, prob)
 	if err != nil {
 		if err == lp.ErrInfeasible {
 			return nil, ErrInfeasible
@@ -183,18 +188,38 @@ func SolveBiCrit(g *dag.Graph, mp *platform.Mapping, sm model.SpeedModel, deadli
 		return nil, err
 	}
 	res := &Result{Levels: append([]float64(nil), sm.Levels...), Alpha: make([][]float64, n), Durations: make([]float64, n), Energy: sol.Objective}
+	// The α block leads X, so each task's row is cut from it in place.
 	for i := 0; i < n; i++ {
-		res.Alpha[i] = make([]float64, m)
-		for s := 0; s < m; s++ {
-			a := sol.X[alphaIdx(i, s)]
+		alpha := sol.X[alphaIdx(i, 0):alphaIdx(i+1, 0):alphaIdx(i+1, 0)]
+		for s, a := range alpha {
 			if a < 0 {
 				a = 0
+				alpha[s] = 0
 			}
-			res.Alpha[i][s] = a
 			res.Durations[i] += a
 		}
+		res.Alpha[i] = alpha
 	}
 	return res, nil
+}
+
+// rowSlab cuts the zeroed constraint rows of one LP from a single
+// backing slice, so building the LP allocates once for all its rows.
+type rowSlab struct {
+	buf []float64
+	nv  int
+}
+
+func newRowSlab(rows, nv int) rowSlab {
+	return rowSlab{buf: make([]float64, rows*nv), nv: nv}
+}
+
+// next returns the next row. Its capacity is capped so that an append
+// to one row can never spill into the next.
+func (s *rowSlab) next() []float64 {
+	row := s.buf[:s.nv:s.nv]
+	s.buf = s.buf[s.nv:]
+	return row
 }
 
 // Schedule materializes the LP solution as a validated ASAP schedule.

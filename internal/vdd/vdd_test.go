@@ -1,15 +1,18 @@
 package vdd
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"energysched/internal/closedform"
 	"energysched/internal/dag"
+	"energysched/internal/listsched"
 	"energysched/internal/model"
 	"energysched/internal/platform"
 	"energysched/internal/schedule"
+	"energysched/internal/workload"
 )
 
 func ladder() model.SpeedModel {
@@ -22,7 +25,7 @@ func TestSingleTaskExactMix(t *testing.T) {
 	// which is a level: the LP should use it alone with energy 3·1.5².
 	g := dag.IndependentGraph(3)
 	mp, _ := platform.SingleProcessor(g)
-	res, err := SolveBiCrit(g, mp, ladder(), 2)
+	res, err := SolveBiCrit(context.Background(), g, mp, ladder(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func TestMixBetweenLevels(t *testing.T) {
 	// beat running at 1.5 alone.
 	g := dag.IndependentGraph(3)
 	mp, _ := platform.SingleProcessor(g)
-	res, err := SolveBiCrit(g, mp, ladder(), 2.4)
+	res, err := SolveBiCrit(context.Background(), g, mp, ladder(), 2.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestTwoSpeedProperty(t *testing.T) {
 		}
 		_ = cg
 		D := minD * (1.3 + rng.Float64()*2)
-		res, err := SolveBiCrit(g, mp, sm, D)
+		res, err := SolveBiCrit(context.Background(), g, mp, sm, D)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -94,7 +97,7 @@ func TestEnergySandwichedByContinuous(t *testing.T) {
 	mp, _ := platform.SingleProcessor(g)
 	sm := ladder()
 	D := 5.0
-	res, err := SolveBiCrit(g, mp, sm, D)
+	res, err := SolveBiCrit(context.Background(), g, mp, sm, D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,7 @@ func TestVddEqualsContinuousWhenSpeedOnGrid(t *testing.T) {
 	weights := []float64{1, 1, 2} // Σ = 4, D = 4 → f = 1.0, a level
 	g := dag.ChainGraph(weights...)
 	mp, _ := platform.SingleProcessor(g)
-	res, err := SolveBiCrit(g, mp, ladder(), 4)
+	res, err := SolveBiCrit(context.Background(), g, mp, ladder(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestScheduleValidates(t *testing.T) {
 	g := dag.ForkGraph(1, 2, 3)
 	mp := platform.OneTaskPerProcessor(g)
 	sm := ladder()
-	res, err := SolveBiCrit(g, mp, sm, 3)
+	res, err := SolveBiCrit(context.Background(), g, mp, sm, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestScheduleValidates(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	g := dag.ChainGraph(10, 10)
 	mp, _ := platform.SingleProcessor(g)
-	if _, err := SolveBiCrit(g, mp, ladder(), 1); err != ErrInfeasible {
+	if _, err := SolveBiCrit(context.Background(), g, mp, ladder(), 1); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -162,11 +165,11 @@ func TestSolveBiCritRejectsWrongModel(t *testing.T) {
 	g := dag.IndependentGraph(1)
 	mp, _ := platform.SingleProcessor(g)
 	disc, _ := model.NewDiscrete([]float64{1})
-	if _, err := SolveBiCrit(g, mp, disc, 1); err == nil {
+	if _, err := SolveBiCrit(context.Background(), g, mp, disc, 1); err == nil {
 		t.Error("DISCRETE model accepted")
 	}
 	cont, _ := model.NewContinuous(0.1, 1)
-	if _, err := SolveBiCrit(g, mp, cont, 1); err == nil {
+	if _, err := SolveBiCrit(context.Background(), g, mp, cont, 1); err == nil {
 		t.Error("CONTINUOUS model accepted")
 	}
 }
@@ -177,7 +180,7 @@ func TestExclusivityEncodedInLP(t *testing.T) {
 	// chain optimum 2·1 = (1+1)³/2² = 2.
 	g := dag.IndependentGraph(1, 1)
 	mp, _ := platform.SingleProcessor(g)
-	res, err := SolveBiCrit(g, mp, ladder(), 2)
+	res, err := SolveBiCrit(context.Background(), g, mp, ladder(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestExclusivityEncodedInLP(t *testing.T) {
 	// On two processors the same instance can run both tasks at 0.5:
 	// energy 2·(1·0.25) = 0.5.
 	mp2 := platform.OneTaskPerProcessor(g)
-	res2, err := SolveBiCrit(g, mp2, ladder(), 2)
+	res2, err := SolveBiCrit(context.Background(), g, mp2, ladder(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,4 +337,32 @@ func randomDAG(rng *rand.Rand, n int, p float64) *dag.Graph {
 		}
 	}
 	return g
+}
+
+// TestSolveBiCritAllocs pins the allocations of one BI-CRIT solve on a
+// 16-task DAG over two processors: every constraint row is cut from
+// one backing slice and the LP tableau is pooled.
+func TestSolveBiCritAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop items, so allocation counts vary")
+	}
+	g := workload.Layered(rand.New(rand.NewSource(3)), 16, 4, 0.3, workload.UniformWeights)
+	ls, err := listsched.CriticalPath(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := ls.Mapping
+	sm, _ := model.NewVddHopping(model.XScaleLevels())
+	D := 2 * ls.Makespan / sm.FMax
+	solve := func() {
+		if _, err := SolveBiCrit(context.Background(), g, mp, sm, D); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	// Mostly the constraint graph's clone; one slab for the rows, the
+	// α rows cut from the LP's X.
+	if allocs := testing.AllocsPerRun(10, solve); allocs > 66 {
+		t.Errorf("SolveBiCrit allocates %v objects per run, want ≤ 66", allocs)
+	}
 }
