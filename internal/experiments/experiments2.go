@@ -11,10 +11,10 @@ import (
 	"energysched/internal/core"
 	"energysched/internal/dag"
 	"energysched/internal/discrete"
-	"energysched/internal/faultsim"
 	"energysched/internal/listsched"
 	"energysched/internal/model"
 	"energysched/internal/platform"
+	"energysched/internal/rng"
 	"energysched/internal/schedule"
 	"energysched/internal/tabulate"
 	"energysched/internal/tricrit"
@@ -290,7 +290,7 @@ func E12HeuristicSweep() *Report {
 }
 
 // E13FaultSim reproduces claim C13 (the paper's motivation): DVFS
-// degrades reliability — the Monte-Carlo injector matches Eq. (1), and
+// degrades reliability — a Monte-Carlo estimate matches Eq. (1), and
 // re-execution restores the threshold.
 func E13FaultSim() *Report {
 	t := tabulate.New("E13 (C13) — fault injection vs Eq. (1)",
@@ -304,7 +304,7 @@ func E13FaultSim() *Report {
 	monotone := true
 	for i, f := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 		analytic := rel.FailureProb(w, f)
-		emp := faultsim.EmpiricalFailureRate(rel, w, f, trials, int64(113+i))
+		emp := empiricalFailureRate(rel, w, f, trials, int64(113+i))
 		if e := math.Abs(emp - analytic); e > worst {
 			worst = e
 		}
@@ -318,6 +318,22 @@ func E13FaultSim() *Report {
 	rep.Metrics["fail_monotone_in_slowdown"] = b2f(monotone)
 	t.AddNote("failure probability grows as speed drops; re-execution squares it back down")
 	return rep
+}
+
+// empiricalFailureRate estimates, by simulation, the failure
+// probability of a single execution of weight w at speed f: trials
+// independent draws from stream (seed, 0) against Eq. (1)'s
+// probability.
+func empiricalFailureRate(rel model.Reliability, w, f float64, trials int, seed int64) float64 {
+	p := rel.FailureProb(w, f)
+	stream := rng.At(seed, 0)
+	fails := 0
+	for i := 0; i < trials; i++ {
+		if stream.Float64() < p {
+			fails++
+		}
+	}
+	return float64(fails) / float64(trials)
 }
 
 // E14DeadlineSweep reproduces claim C14: figure-style energy/deadline

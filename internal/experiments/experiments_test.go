@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"energysched/internal/model"
+)
 
 // Each test runs a claim driver and asserts the paper's claim on the
 // resulting metrics — the machine-checkable half of EXPERIMENTS.md.
@@ -124,6 +129,32 @@ func TestE13FaultSim(t *testing.T) {
 	}
 	if r.Metrics["fail_monotone_in_slowdown"] != 1 {
 		t.Errorf("failure probability not monotone in slowdown\n%s", r.Table)
+	}
+}
+
+// hotRel uses a high fault rate so effects are measurable with modest
+// trial counts.
+func hotRel() model.Reliability {
+	return model.Reliability{Lambda0: 0.002, Sensitivity: 3, FMin: 0.1, FMax: 1}
+}
+
+func TestEmpiricalMatchesAnalytic(t *testing.T) {
+	rel := hotRel()
+	w, f := 4.0, 0.4
+	want := rel.FailureProb(w, f)
+	got := empiricalFailureRate(rel, w, f, 200000, 1)
+	if math.Abs(got-want) > 0.01 {
+		t.Errorf("empirical %v vs analytic %v", got, want)
+	}
+}
+
+func TestFaultRateBitesAtLowSpeed(t *testing.T) {
+	// The motivation claim (C13): DVFS degrades reliability.
+	rel := hotRel()
+	slow := empiricalFailureRate(rel, 2, 0.2, 100000, 2)
+	fast := empiricalFailureRate(rel, 2, 1.0, 100000, 3)
+	if slow <= fast {
+		t.Errorf("slow failure %v not above fast failure %v", slow, fast)
 	}
 }
 

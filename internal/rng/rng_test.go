@@ -26,8 +26,8 @@ func TestStreamMatchesReferenceSplitmix64(t *testing.T) {
 }
 
 // TestAtMatchesHistoricalFaultsimStreams pins the (seed, trial) stream
-// derivation to the formula faultsim used before the extraction into
-// this package: root = splitmix64(seed·φ64) advanced once, trial
+// derivation to the formula the retired internal/faultsim injector
+// used before the extraction into this package: root = splitmix64(seed·φ64) advanced once, trial
 // stream = root + trial·0x2545f4914f6cdd1d. Every committed campaign
 // seed depends on this exact mapping.
 func TestAtMatchesHistoricalFaultsimStreams(t *testing.T) {

@@ -1,10 +1,12 @@
-// Campaign runner: Monte-Carlo outcome distributions over many
-// seeded trials of one (instance, schedule) pair, executed on a
-// worker pool with a deterministic merge — like core.SolveAll, the
-// aggregate is bit-identical whatever the worker count, because
-// workers only fill per-trial slots and a single sequential pass in
-// trial order does every floating-point reduction (summaries and the
-// energy/makespan outcome histograms alike).
+// Campaign results and entry points: Monte-Carlo outcome
+// distributions over many seeded trials of one (instance, schedule)
+// pair. Every campaign runs on the chunked engine (chunked.go): a
+// worker pool fills per-trial slots one chunk at a time and a single
+// sequential pass in trial order does every floating-point reduction
+// (summaries and the energy/makespan outcome histograms alike), so the
+// aggregate is bit-identical whatever the worker count — like
+// core.SolveAll. RunCampaign is the fixed-size call into that engine:
+// no stopping rule, no checkpoints.
 //
 // The inner loop is built around the fault-free fast path (see
 // Runner.Run): at the reliability targets the paper studies the
@@ -19,22 +21,16 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"energysched/internal/core"
 	"energysched/internal/hist"
 	"energysched/internal/schedule"
 )
 
-// chunk is the number of consecutive trials a worker claims at once:
-// large enough to amortize the atomic claim, small enough to balance
-// tail latency.
-const chunk = 64
+// claimSize is the number of consecutive trials a worker claims at
+// once: large enough to amortize the atomic claim, small enough to
+// balance tail latency.
+const claimSize = 64
 
 // MaxCampaignTrials caps the campaign size a single request may ask
 // for — shared by cmd/energysim's -trials validation and the
@@ -64,9 +60,6 @@ type CampaignOptions struct {
 	DisableFaults bool
 	// Workers caps the worker pool (default GOMAXPROCS).
 	Workers int
-	// DisableFastPath forces every trial through the event heap (see
-	// Options.DisableFastPath).
-	DisableFastPath bool
 }
 
 // Summary condenses one observed metric across the campaign.
@@ -80,18 +73,16 @@ type Summary struct {
 // CLI and the service.
 type Campaign struct {
 	Trials int `json:"trials"`
-	// TrialsRequested is the campaign size the caller asked for; it is
-	// only set (and only differs from Trials) on chunked campaigns,
-	// where the sequential-confidence stopping rule may finish the
-	// campaign with fewer trials than requested.
+	// TrialsRequested is the campaign size the caller asked for; it
+	// differs from Trials only when the sequential-confidence stopping
+	// rule finished the campaign with fewer trials than requested.
 	TrialsRequested int `json:"trialsRequested,omitempty"`
-	// StoppedEarly marks a chunked campaign ended by the stopping rule
-	// before TrialsRequested trials ran.
+	// StoppedEarly marks a campaign ended by the stopping rule before
+	// TrialsRequested trials ran.
 	StoppedEarly bool `json:"stoppedEarly,omitempty"`
 	// CIHalfWidth is the Wilson confidence-interval half-width on the
-	// success rate at the campaign's confidence level, reported by
-	// chunked campaigns (the quantity the stopping rule drives below
-	// epsilon).
+	// success rate at the campaign's confidence level (default 0.99):
+	// the quantity the stopping rule drives below epsilon.
 	CIHalfWidth    float64 `json:"ciHalfWidth,omitempty"`
 	Seed           int64   `json:"seed"`
 	Policy         string  `json:"policy"`
@@ -190,24 +181,26 @@ type trialSlot struct {
 }
 
 // campaignScratch is the reusable campaign state a Runner retains
-// across RunCampaign calls: worker clones with slab-allocated
-// per-trial scratch, per-worker traces, the trial-slot array and the
-// outcome histograms. It grows monotonically — a campaign needing
-// more workers or trials than any before it reallocates, every other
-// campaign reuses.
+// across campaigns: the worker runners (the owning Runner first, then
+// clones with slab-allocated per-trial scratch), per-worker traces, a
+// one-chunk trial-slot array, the outcome histograms and the worker
+// pool. It grows monotonically — a campaign needing more workers or a
+// larger chunk than any before it reallocates, every other campaign
+// reuses.
 type campaignScratch struct {
-	clones []*Runner
-	traces []Trace
-	slots  []trialSlot
-	eHist  *hist.Histogram
-	mHist  *hist.Histogram
+	runners []*Runner // worker w runs runners[w]; runners[0] is the owner
+	traces  []Trace
+	slots   []trialSlot
+	eHist   *hist.Histogram
+	mHist   *hist.Histogram
+	pool    chunkPool
 }
 
 // campaignScratchFor returns the runner's campaign scratch, grown to
-// hold workers goroutines and trials slots. Worker 0 is the base
+// hold workers goroutines and slots trial slots. Worker 0 is the base
 // runner itself; clones cover the rest, with each scratch type
 // allocated as one slab sliced across the clones.
-func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
+func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 	cs := r.camp
 	if cs == nil {
 		cs = &campaignScratch{
@@ -216,7 +209,8 @@ func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
 		}
 		r.camp = cs
 	}
-	if need := workers - 1; len(cs.clones) < need {
+	if len(cs.runners) < workers {
+		need := workers - 1
 		n := len(r.first)
 		hc := cap(r.heap)
 		slab := make([]Runner, need)
@@ -224,7 +218,8 @@ func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
 		done := make([]bool, need*n)
 		us := make([]float64, 2*need*n)
 		heaps := make([]event, need*hc)
-		clones := make([]*Runner, need)
+		runners := make([]*Runner, workers)
+		runners[0] = r
 		for w := 0; w < need; w++ {
 			c := &slab[w]
 			// Same table sharing as Clone, scratch carved from slabs.
@@ -235,167 +230,32 @@ func (r *Runner) campaignScratchFor(workers, trials int) *campaignScratch {
 			c.u1 = us[2*w*n : (2*w+1)*n]
 			c.u2 = us[(2*w+1)*n : (2*w+2)*n]
 			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
-			clones[w] = c
+			runners[w+1] = c
 		}
-		cs.clones = clones
+		cs.runners = runners
 	}
 	if len(cs.traces) < workers {
 		cs.traces = make([]Trace, workers)
 	}
-	if cap(cs.slots) < trials {
-		cs.slots = make([]trialSlot, trials)
+	if cap(cs.slots) < slots {
+		cs.slots = make([]trialSlot, slots)
 	}
-	cs.slots = cs.slots[:trials]
 	return cs
 }
 
 // RunCampaign executes trials seeded runs of the runner's schedule
-// under its Options (seed, policy, worst-case, fault injection) on a
-// worker pool and aggregates the outcome distribution. Trial t always
-// draws from stream (Seed, t), and the reduction runs sequentially in
-// trial order after the pool drains, so the returned Campaign is
-// bit-identical across worker counts. workers <= 0 defaults to
-// GOMAXPROCS. The runner retains its campaign scratch, so repeated
-// campaigns on one Runner allocate only the returned Campaign and its
+// under its Options (seed, policy, worst-case, fault injection) and
+// aggregates the outcome distribution: a RunCampaignChunked call with
+// the default chunk size and no stopping rule, so every trial runs.
+// Trial t always draws from stream (Seed, t) and the reduction runs
+// in trial order, so the returned Campaign is bit-identical across
+// worker counts. workers <= 0 defaults to GOMAXPROCS. The runner
+// retains its campaign scratch, so repeated campaigns on one Runner
+// allocate only the worker launch, the returned Campaign and its
 // histogram snapshots. Cancelling the context aborts the campaign
 // with the context's error.
 func (r *Runner) RunCampaign(ctx context.Context, trials, workers int) (*Campaign, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (trials + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	cs := r.campaignScratchFor(workers, trials)
-	slots := cs.slots
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	trialsStart := time.Now()
-	for w := 0; w < workers; w++ {
-		rn := r
-		if w > 0 {
-			rn = cs.clones[w-1]
-		}
-		rn.fastServed = 0
-		go campaignWorker(ctx, rn, &cs.traces[w], slots, &next, &wg)
-	}
-	wg.Wait()
-	trialsNs := time.Since(trialsStart).Nanoseconds()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	c := &Campaign{
-		Trials:    trials,
-		Seed:      r.opts.Seed,
-		Policy:    r.opts.Policy.String(),
-		WorstCase: r.opts.WorstCase,
-		Energy:    Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Makespan:  Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Predicted: r.Predict(),
-	}
-	mergeStart := time.Now()
-	cs.eHist.Reset()
-	cs.mHist.Reset()
-	var sumE, sumM float64
-	for t := range slots {
-		slot := &slots[t]
-		sumE += slot.energy
-		sumM += slot.makespan
-		cs.eHist.Observe(slot.energy)
-		cs.mHist.Observe(slot.makespan)
-		if slot.energy < c.Energy.Min {
-			c.Energy.Min = slot.energy
-		}
-		if slot.energy > c.Energy.Max {
-			c.Energy.Max = slot.energy
-		}
-		if slot.makespan < c.Makespan.Min {
-			c.Makespan.Min = slot.makespan
-		}
-		if slot.makespan > c.Makespan.Max {
-			c.Makespan.Max = slot.makespan
-		}
-		c.Reexecutions += int64(slot.reexec)
-		c.Faults += int64(slot.faults)
-		if slot.faults == 0 {
-			c.FaultFreeTrials++
-		}
-		if slot.flags&1 != 0 {
-			c.Successes++
-		}
-		if slot.flags&2 == 0 {
-			c.DeadlineMisses++
-		}
-	}
-	c.SuccessRate = float64(c.Successes) / float64(trials)
-	c.FaultFreeRate = float64(c.FaultFreeTrials) / float64(trials)
-	c.Energy.Mean = sumE / float64(trials)
-	c.Makespan.Mean = sumM / float64(trials)
-	c.EnergyHist = cs.eHist.JSON()
-	c.MakespanHist = cs.mHist.JSON()
-	fastServed := r.fastServed
-	for w := 1; w < workers; w++ {
-		fastServed += cs.clones[w-1].fastServed
-	}
-	c.Profile = CampaignProfile{
-		TrialsNs:       trialsNs,
-		MergeNs:        time.Since(mergeStart).Nanoseconds(),
-		FastPathTrials: fastServed,
-		HeapTrials:     int64(trials) - fastServed,
-		Workers:        workers,
-	}
-	return c, nil
-}
-
-// campaignWorker drains chunks of trials into their slots until the
-// claim counter runs past the end or the context is cancelled.
-func campaignWorker(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, next *atomic.Int64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	runClaims(ctx, r, tr, slots, 0, next)
-}
-
-// runClaims is the shared claim loop of the whole-campaign and chunked
-// worker pools: claim chunk-sized runs of slot indices until the
-// counter runs past len(slots) or the context is cancelled, executing
-// trial base+i into slots[i].
-func runClaims(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, base int, next *atomic.Int64) {
-	n := len(slots)
-	for {
-		lo := int(next.Add(chunk)) - chunk
-		if lo >= n || ctx.Err() != nil {
-			return
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for t := lo; t < hi; t++ {
-			r.Run(base+t, tr)
-			o := &tr.Outcome
-			var flags uint8
-			if o.Succeeded {
-				flags |= 1
-			}
-			if o.DeadlineMet {
-				flags |= 2
-			}
-			slots[t] = trialSlot{
-				energy:   o.Energy,
-				makespan: o.Makespan,
-				reexec:   int32(o.Reexecutions),
-				faults:   int32(o.Faults),
-				flags:    flags,
-			}
-		}
-	}
+	return r.RunCampaignChunked(ctx, ChunkedOptions{Trials: trials, Workers: workers})
 }
 
 // RunCampaign validates the (instance, schedule) pairing, builds a
@@ -404,15 +264,5 @@ func runClaims(ctx context.Context, r *Runner, tr *Trace, slots []trialSlot, bas
 // many campaigns on one pairing should hold a Runner and call its
 // RunCampaign directly to amortize setup.
 func RunCampaign(ctx context.Context, in *core.Instance, s *schedule.Schedule, opts CampaignOptions) (*Campaign, error) {
-	base, err := NewRunner(in, s, Options{
-		Policy:          opts.Policy,
-		Seed:            opts.Seed,
-		WorstCase:       opts.WorstCase,
-		DisableFaults:   opts.DisableFaults,
-		DisableFastPath: opts.DisableFastPath,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return base.RunCampaign(ctx, opts.Trials, opts.Workers)
+	return RunCampaignChunked(ctx, in, s, opts, ChunkedOptions{})
 }

@@ -1,14 +1,14 @@
-// Chunked campaign execution: the bounded-memory, checkpointable,
-// early-stopping form of RunCampaign. Trials are processed in
-// fixed-size chunks on a persistent worker pool; each chunk's
-// trial-slot array is merged — in trial order, exactly like the
-// whole-campaign merge — into a running CampaignState, so memory is
-// flat at any trial count and the final Campaign is bit-identical to
-// an uninterrupted RunCampaign of the same size. Because trial t owns
-// the counter-split stream (Seed, t) regardless of which process runs
-// it, a campaign resumed from a serialized CampaignState at a chunk
-// boundary is byte-identical to one that never stopped — the property
-// internal/jobs builds crash-safe campaign jobs on.
+// The campaign engine. Trials are processed in fixed-size chunks on a
+// persistent worker pool; each chunk's trial-slot array is merged — in
+// trial order — into a running CampaignState, so memory is flat at any
+// trial count and, with the stopping rule off, the final Campaign is
+// bit-identical whatever the worker count or chunk size. Because trial
+// t owns the counter-split stream (Seed, t) regardless of which
+// process runs it, a campaign resumed from a serialized CampaignState
+// at a chunk boundary is byte-identical to one that never stopped —
+// the property internal/jobs builds crash-safe campaign jobs on.
+// RunCampaign is this engine with the default chunk size and no
+// stopping rule.
 //
 // On top of the chunk loop sits a sequential-confidence stopping
 // rule: when the Wilson confidence-interval half-width on the
@@ -107,8 +107,9 @@ type ChunkedOptions struct {
 	// Trials is the requested campaign size (> 0). The stopping rule
 	// may finish with fewer.
 	Trials int
-	// Workers caps the worker pool (default GOMAXPROCS, clamped to the
-	// chunk's parallelism).
+	// Workers caps the worker pool (default GOMAXPROCS, clamped to one
+	// worker per claimSize trials of a chunk, or of the whole campaign
+	// when it is shorter than a chunk).
 	Workers int
 	// ChunkSize is the number of trials per chunk (default
 	// DefaultChunkSize). Checkpoints and the stopping rule operate at
@@ -180,15 +181,16 @@ func WilsonHalfWidth(s, n int, z float64) float64 {
 	return z / (1 + z2/nf) * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
 }
 
-// chunkPool is the persistent worker pool of one chunked campaign:
-// goroutines are spawned once and woken per chunk through a shared
-// token channel, so running another chunk allocates nothing — the
-// property that keeps a 1M-trial campaign's allocations independent
-// of its trial count.
+// chunkPool is the persistent worker pool of one campaign: goroutines
+// are spawned once and woken per chunk through a shared token channel,
+// so running another chunk allocates nothing — the property that keeps
+// a 1M-trial campaign's allocations independent of its trial count.
+// It lives in the Runner's campaignScratch and is reused by every
+// campaign the Runner runs.
 type chunkPool struct {
 	ctx     context.Context
-	runners []*Runner // worker w runs runners[w]
-	traces  []Trace
+	runners []*Runner   // worker w runs runners[w]
+	traces  []Trace     // worker w records into traces[w]
 	slots   []trialSlot // capacity one chunk; re-sliced per chunk
 	base    int         // first trial of the current chunk
 	next    atomic.Int64
@@ -197,11 +199,58 @@ type chunkPool struct {
 	exitWG  sync.WaitGroup
 }
 
+// start launches one goroutine for each of the scratch's first workers
+// runners and resets their fast-path counters.
+func (p *chunkPool) start(ctx context.Context, cs *campaignScratch, workers int) {
+	p.ctx = ctx
+	p.runners = cs.runners[:workers]
+	p.traces = cs.traces[:workers]
+	p.slots = cs.slots[:0]
+	p.work = make(chan struct{}, workers)
+	p.exitWG.Add(workers)
+	for w, rn := range p.runners {
+		rn.fastServed = 0
+		go p.worker(w)
+	}
+}
+
 func (p *chunkPool) worker(w int) {
 	defer p.exitWG.Done()
 	for range p.work {
-		runClaims(p.ctx, p.runners[w], &p.traces[w], p.slots, p.base, &p.next)
+		p.runClaims(p.runners[w], &p.traces[w])
 		p.chunkWG.Done()
+	}
+}
+
+// runClaims claims claimSize-long runs of slot indices until the
+// counter runs past the chunk or the context is cancelled, executing
+// trial base+i into slots[i].
+func (p *chunkPool) runClaims(r *Runner, tr *Trace) {
+	n := len(p.slots)
+	for {
+		lo := int(p.next.Add(claimSize)) - claimSize
+		if lo >= n || p.ctx.Err() != nil {
+			return
+		}
+		hi := min(lo+claimSize, n)
+		for t := lo; t < hi; t++ {
+			r.Run(p.base+t, tr)
+			o := &tr.Outcome
+			var flags uint8
+			if o.Succeeded {
+				flags |= 1
+			}
+			if o.DeadlineMet {
+				flags |= 2
+			}
+			p.slots[t] = trialSlot{
+				energy:   o.Energy,
+				makespan: o.Makespan,
+				reexec:   int32(o.Reexecutions),
+				faults:   int32(o.Faults),
+				flags:    flags,
+			}
+		}
 	}
 }
 
@@ -217,19 +266,21 @@ func (p *chunkPool) runChunk(base, count int) {
 	p.chunkWG.Wait()
 }
 
+// close stops the workers and drops the campaign's context.
 func (p *chunkPool) close() {
 	close(p.work)
 	p.exitWG.Wait()
+	p.ctx = nil
 }
 
 // RunCampaignChunked executes up to opts.Trials seeded runs of the
 // runner's schedule in fixed-size chunks, merging each chunk into a
 // running CampaignState so memory stays flat at any trial count, and
 // stopping early once the Wilson CI half-width on the success rate
-// reaches opts.Epsilon. The returned Campaign is bit-identical to
-// RunCampaign over the same trial count (modulo the chunked-only
-// reporting fields), whatever the worker count, chunk size or resume
-// point — see chunked_test.go for the gates. Cancelling the context
+// reaches opts.Epsilon. With the stopping rule off, the returned
+// Campaign is bit-identical to a sequential fold of the same trials,
+// whatever the worker count, chunk size or resume point — see
+// chunked_test.go for the gates. Cancelling the context
 // aborts between chunk claims with the context's error; no partially
 // merged chunk is ever observable.
 func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*Campaign, error) {
@@ -267,10 +318,11 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := (cs + chunk - 1) / chunk; workers > max {
-		workers = max
+	perChunk := min(trials, cs)
+	if limit := (perChunk + claimSize - 1) / claimSize; workers > limit {
+		workers = limit
 	}
-	scratch := r.campaignScratchFor(workers, cs)
+	scratch := r.campaignScratchFor(workers, perChunk)
 	scratch.eHist.Reset()
 	scratch.mHist.Reset()
 
@@ -306,24 +358,8 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 		return nil, fmt.Errorf("sim: resume state without a start chunk")
 	}
 
-	pool := &chunkPool{
-		ctx:     ctx,
-		runners: make([]*Runner, workers),
-		traces:  scratch.traces[:workers],
-		slots:   scratch.slots[:0],
-		work:    make(chan struct{}, workers),
-	}
-	pool.runners[0] = r
-	for w := 1; w < workers; w++ {
-		pool.runners[w] = scratch.clones[w-1]
-	}
-	for _, rn := range pool.runners {
-		rn.fastServed = 0
-	}
-	pool.exitWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go pool.worker(w)
-	}
+	pool := &scratch.pool
+	pool.start(ctx, scratch, workers)
 	defer pool.close()
 
 	stopEligible := func() bool {
@@ -415,8 +451,7 @@ func chunkResumeTrials(opts ChunkedOptions) int {
 }
 
 // mergeChunk folds one chunk's trial slots — in slot order, which is
-// trial order — into the running state, exactly the reduction
-// RunCampaign performs over its whole-campaign slot array.
+// trial order — into the running state: the campaign's one reduction.
 func mergeChunk(st *CampaignState, slots []trialSlot, eHist, mHist *hist.Histogram) {
 	for i := range slots {
 		slot := &slots[i]
@@ -457,11 +492,10 @@ func mergeChunk(st *CampaignState, slots []trialSlot, eHist, mHist *hist.Histogr
 // pairing should hold a Runner and call its method directly.
 func RunCampaignChunked(ctx context.Context, in *core.Instance, s *schedule.Schedule, opts CampaignOptions, chunked ChunkedOptions) (*Campaign, error) {
 	base, err := NewRunner(in, s, Options{
-		Policy:          opts.Policy,
-		Seed:            opts.Seed,
-		WorstCase:       opts.WorstCase,
-		DisableFaults:   opts.DisableFaults,
-		DisableFastPath: opts.DisableFastPath,
+		Policy:        opts.Policy,
+		Seed:          opts.Seed,
+		WorstCase:     opts.WorstCase,
+		DisableFaults: opts.DisableFaults,
 	})
 	if err != nil {
 		return nil, err

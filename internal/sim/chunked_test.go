@@ -4,61 +4,139 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"energysched/internal/hist"
 )
 
-// clearChunkedOnly zeroes the reporting fields only chunked campaigns
-// set, so a chunked result can be byte-compared against a plain
-// RunCampaign of the same trials.
-func clearChunkedOnly(c *Campaign) {
-	c.TrialsRequested = 0
-	c.StoppedEarly = false
-	c.CIHalfWidth = 0
-	c.Profile = CampaignProfile{}
+// refCampaign is the independent reference for the campaign engine:
+// it runs trials 0..trials-1 in order on r itself and folds each
+// outcome straight into a Campaign with a plain loop — no pool, no
+// chunks, no trial slots, no CampaignState.
+func refCampaign(t *testing.T, r *Runner, trials int) *Campaign {
+	t.Helper()
+	z, err := ZForConfidence(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh, mh := hist.New(hist.OutcomeBounds()), hist.New(hist.OutcomeBounds())
+	c := &Campaign{
+		Trials:          trials,
+		TrialsRequested: trials,
+		Seed:            r.opts.Seed,
+		Policy:          r.opts.Policy.String(),
+		WorstCase:       r.opts.WorstCase,
+		Energy:          Summary{Min: math.Inf(1), Max: math.Inf(-1)},
+		Makespan:        Summary{Min: math.Inf(1), Max: math.Inf(-1)},
+		Predicted:       r.Predict(),
+	}
+	var sumE, sumM float64
+	var tr Trace
+	r.fastServed = 0
+	for trial := 0; trial < trials; trial++ {
+		r.Run(trial, &tr)
+		o := tr.Outcome
+		sumE += o.Energy
+		sumM += o.Makespan
+		eh.Observe(o.Energy)
+		mh.Observe(o.Makespan)
+		c.Energy.Min = math.Min(c.Energy.Min, o.Energy)
+		c.Energy.Max = math.Max(c.Energy.Max, o.Energy)
+		c.Makespan.Min = math.Min(c.Makespan.Min, o.Makespan)
+		c.Makespan.Max = math.Max(c.Makespan.Max, o.Makespan)
+		c.Reexecutions += int64(o.Reexecutions)
+		c.Faults += int64(o.Faults)
+		if o.Faults == 0 {
+			c.FaultFreeTrials++
+		}
+		if o.Succeeded {
+			c.Successes++
+		}
+		if !o.DeadlineMet {
+			c.DeadlineMisses++
+		}
+	}
+	n := float64(trials)
+	c.SuccessRate = float64(c.Successes) / n
+	c.FaultFreeRate = float64(c.FaultFreeTrials) / n
+	c.CIHalfWidth = WilsonHalfWidth(c.Successes, trials, z)
+	c.Energy.Mean = sumE / n
+	c.Makespan.Mean = sumM / n
+	c.EnergyHist = eh.JSON()
+	c.MakespanHist = mh.JSON()
+	c.Profile = CampaignProfile{FastPathTrials: r.fastServed, HeapTrials: int64(trials) - r.fastServed}
+	return c
 }
 
-// TestChunkedMatchesUnchunked is the tentpole equivalence gate: a
-// chunked campaign with the stopping rule off must be bit-identical —
-// whole Campaign JSON — to the whole-campaign RunCampaign over the
-// same trials, including with a chunk size that does not divide the
-// trial count.
+// TestChunkedMatchesUnchunked is the equivalence gate of the campaign
+// engine: with the stopping rule off, a campaign must be bit-identical
+// — whole Campaign JSON — to refCampaign's sequential fold over the
+// same trials, for chunk sizes that do and do not divide the trial
+// count and for one and many workers; RunCampaign must match it too.
 func TestChunkedMatchesUnchunked(t *testing.T) {
 	in := triChain(t, 10, 0.03)
 	res := solve(t, in)
 	const trials = 3000
-	plain, err := RunCampaign(context.Background(), in, res.Schedule, CampaignOptions{Trials: trials, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range []int{257, 512, 4096} {
+	newRunner := func() *Runner {
 		r, err := NewRunner(in, res.Schedule, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunked, err := r.RunCampaignChunked(context.Background(), ChunkedOptions{Trials: trials, ChunkSize: cs})
-		if err != nil {
-			t.Fatalf("chunk size %d: %v", cs, err)
+		return r
+	}
+	ref := refCampaign(t, newRunner(), trials)
+	if ref.FaultFreeTrials == 0 || ref.FaultFreeTrials == trials {
+		t.Fatalf("degenerate reference: %d/%d fault-free trials", ref.FaultFreeTrials, trials)
+	}
+	want, _ := json.Marshal(ref)
+	check := func(name string, c *Campaign) {
+		t.Helper()
+		if c.StoppedEarly || c.Trials != trials || c.TrialsRequested != trials {
+			t.Fatalf("%s: unexpected reporting fields %d/%d early=%t",
+				name, c.Trials, c.TrialsRequested, c.StoppedEarly)
 		}
-		if chunked.TrialsRequested != trials || chunked.StoppedEarly || chunked.Trials != trials {
-			t.Fatalf("chunk size %d: unexpected reporting fields %d/%d early=%t",
-				cs, chunked.Trials, chunked.TrialsRequested, chunked.StoppedEarly)
+		if c.Profile.FastPathTrials != ref.Profile.FastPathTrials || c.Profile.HeapTrials != ref.Profile.HeapTrials {
+			t.Fatalf("%s: fast/heap split %d/%d differs from reference %d/%d", name,
+				c.Profile.FastPathTrials, c.Profile.HeapTrials, ref.Profile.FastPathTrials, ref.Profile.HeapTrials)
 		}
-		if chunked.Profile.FastPathTrials != plain.Profile.FastPathTrials ||
-			chunked.Profile.HeapTrials != plain.Profile.HeapTrials {
-			t.Fatalf("chunk size %d: fast/heap split %d/%d differs from plain %d/%d",
-				cs, chunked.Profile.FastPathTrials, chunked.Profile.HeapTrials,
-				plain.Profile.FastPathTrials, plain.Profile.HeapTrials)
+		if got, _ := json.Marshal(c); string(got) != string(want) {
+			t.Fatalf("%s: campaign differs from the sequential reference\ngot: %s\nref: %s", name, got, want)
 		}
-		cc, pc := *chunked, *plain
-		clearChunkedOnly(&cc)
-		clearChunkedOnly(&pc)
-		cj, _ := json.Marshal(&cc)
-		pj, _ := json.Marshal(&pc)
-		if string(cj) != string(pj) {
-			t.Fatalf("chunk size %d: chunked campaign differs from unchunked\nchunked: %s\nplain:   %s", cs, cj, pj)
+	}
+	for _, cs := range []int{257, 512, 4096} {
+		for _, workers := range []int{1, 8} {
+			c, err := newRunner().RunCampaignChunked(context.Background(),
+				ChunkedOptions{Trials: trials, Workers: workers, ChunkSize: cs})
+			if err != nil {
+				t.Fatalf("chunk size %d, %d workers: %v", cs, workers, err)
+			}
+			check(fmt.Sprintf("chunk size %d, %d workers", cs, workers), c)
 		}
+	}
+	c, err := RunCampaign(context.Background(), in, res.Schedule, CampaignOptions{Trials: trials, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunCampaign", c)
+}
+
+// TestCampaignWorkersClampedToTrials: the pool never starts more
+// workers than the campaign has claims, even when the chunk is far
+// larger than the campaign — 100 trials are two 64-trial claims.
+func TestCampaignWorkersClampedToTrials(t *testing.T) {
+	in := triChain(t, 6, 0.03)
+	res := solve(t, in)
+	r, err := NewRunner(in, res.Schedule, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.RunCampaignChunked(context.Background(), ChunkedOptions{Trials: 100, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Profile.Workers != 2 {
+		t.Fatalf("100-trial campaign ran %d workers, want 2", c.Profile.Workers)
 	}
 }
 

@@ -72,10 +72,22 @@ func TestFastPathEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", cls, m.name, seed, err)
 				}
-				opts.DisableFastPath = true
-				slow, err := RunCampaign(context.Background(), in, res.Schedule, opts)
+				heap, err := NewRunner(in, res.Schedule, Options{
+					Seed:            seed,
+					Policy:          m.policy,
+					WorstCase:       m.worstCase,
+					DisableFastPath: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				slow, err := heap.RunCampaign(context.Background(), opts.Trials, 0)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d (heap-only): %v", cls, m.name, seed, err)
+				}
+				if slow.Profile.FastPathTrials != 0 {
+					t.Fatalf("%s/%s seed %d: heap-only runner served %d trials from the fast path",
+						cls, m.name, seed, slow.Profile.FastPathTrials)
 				}
 				fastJSON, err := json.Marshal(fast)
 				if err != nil {
@@ -98,36 +110,6 @@ func TestFastPathEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFastPathEnvForcesHeap: setting the NoFastPathEnv variable must
-// force Runners built afterwards through the event heap — and the
-// campaign must still be bit-identical, which doubles as the
-// env-forced leg of the equivalence gate.
-func TestFastPathEnvForcesHeap(t *testing.T) {
-	in, res := fastEqInstance(t, workload.ClassChain, 7)
-	opts := CampaignOptions{Trials: 300, Seed: 7}
-	fast, err := RunCampaign(context.Background(), in, res.Schedule, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(NoFastPathEnv, "1")
-	r, err := NewRunner(in, res.Schedule, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.noFast {
-		t.Fatalf("%s did not disable the fast path", NoFastPathEnv)
-	}
-	slow, err := r.RunCampaign(context.Background(), opts.Trials, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastJSON, _ := json.Marshal(fast)
-	slowJSON, _ := json.Marshal(slow)
-	if string(fastJSON) != string(slowJSON) {
-		t.Fatalf("env-forced heap campaign differs:\nfast: %s\nheap: %s", fastJSON, slowJSON)
 	}
 }
 

@@ -162,7 +162,8 @@ func TestCampaignSuccessRateWithinBinomialCI(t *testing.T) {
 }
 
 // TestPredictionMatchesFaultsimClosedForm cross-checks sim's
-// closed-form reliability against faultsim's per-task predictions —
+// closed-form reliability against a per-task product computed here
+// from the schedule (the formula the retired faultsim injector used) —
 // two independent implementations of the same Eq. (1) algebra.
 func TestPredictionMatchesFaultsimClosedForm(t *testing.T) {
 	in := triChain(t, 9, 0.02)

@@ -17,19 +17,18 @@
 // the mapping's constraint graph (DAG precedence ∪ same-processor
 // order) has completed, and starts at the later of that instant and
 // its scheduled start time. Faults are drawn per attempt from
-// counter-split splitmix64 streams (internal/rng, shared with
-// faultsim), one stream per (seed, trial) pair, so campaigns are
-// reproducible and embarrassingly parallel. Recovery after a failed
-// first attempt is pluggable: re-execute at the same speed (in the
-// schedule's re-execution slot when the solver provisioned one),
-// re-execute at fmax, or abort the run.
+// counter-split splitmix64 streams (internal/rng), one stream per
+// (seed, trial) pair, so campaigns are reproducible and embarrassingly
+// parallel. Recovery after a failed first attempt is pluggable:
+// re-execute at the same speed (in the schedule's re-execution slot
+// when the solver provisioned one), re-execute at fmax, or abort the
+// run.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 
 	"energysched/internal/core"
 	"energysched/internal/dag"
@@ -37,13 +36,6 @@ import (
 	"energysched/internal/rng"
 	"energysched/internal/schedule"
 )
-
-// NoFastPathEnv is the environment variable that forces every trial
-// through the event heap, process-wide — the escape hatch the
-// equivalence tests and forensic reruns use to compare the fast path
-// against ground truth. Any non-empty value disables the fast path
-// for Runners created after the variable is set.
-const NoFastPathEnv = "ENERGYSCHED_SIM_NO_FASTPATH"
 
 // Policy selects the recovery action after a failed execution
 // attempt. Whatever the policy, a task is attempted at most twice —
@@ -185,8 +177,7 @@ type Options struct {
 	// when the occurrence draws admit the precomputed fault-free
 	// outcome. The fast path is bit-identical by construction (and
 	// equivalence-tested); this switch exists for benchmarks comparing
-	// the two paths and for the equivalence tests themselves. The
-	// NoFastPathEnv environment variable forces the same, process-wide.
+	// the two paths and for the equivalence tests themselves.
 	DisableFastPath bool
 }
 
@@ -249,11 +240,12 @@ type Runner struct {
 	// under the runner's options, precomputed by one event-heap run in
 	// NewRunner; it is what the fast path emits.
 	ff Outcome
-	// noFast forces the event heap for every trial (Options or env).
+	// noFast forces the event heap for every trial
+	// (Options.DisableFastPath).
 	noFast bool
 	// fastServed counts trials this runner answered from the fast path
 	// since the campaign last reset it — each worker counts its own,
-	// RunCampaign sums them into the campaign profile.
+	// the campaign engine sums them into the campaign profile.
 	fastServed int64
 
 	// per-trial scratch
@@ -263,7 +255,8 @@ type Runner struct {
 	heap   []event
 
 	// camp is the reusable campaign state (worker clones, trial slots,
-	// outcome histograms), built lazily by RunCampaign.
+	// outcome histograms, worker pool), built lazily by the first
+	// campaign.
 	camp *campaignScratch
 }
 
@@ -348,7 +341,7 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 			r.hasSec[i] = true
 		}
 	}
-	r.noFast = opts.DisableFastPath || os.Getenv(NoFastPathEnv) != ""
+	r.noFast = opts.DisableFastPath
 	// Precompute the fault-free outcome by one event-heap run with the
 	// injector off: the fault-free trace is fully deterministic (no
 	// stream is consumed), so this single run is the exact outcome of
@@ -606,7 +599,7 @@ func (r *Runner) release(i int, now float64) {
 // faultOffset locates the fault instant within the attempt for the
 // trace. Under the repository's linearized rate model the fault
 // probability is P(fault in [0,t]) = Λ(t) = Σ λ(f_s)·d_s itself (not
-// 1−e^−Λ — see model.Reliability.FailureProb and faultsim), so the
+// 1−e^−Λ — see model.Reliability.FailureProb), so the
 // per-attempt uniform u that decided the fault (u < p, u uniform)
 // doubles as the exact inverse-CDF sample: the fault lands where the
 // running Λ crosses u.
