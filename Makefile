@@ -10,7 +10,7 @@
 GO ?= go
 
 # The named kernel benchmarks guarded by the regression gate.
-GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkSimplexSolve|BenchmarkVddLP16Tasks|BenchmarkVddLP32Tasks|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive
+GATED_BENCHES = BenchmarkConvexSolve64Tasks|BenchmarkChainFirstHeuristic64Tasks|BenchmarkSimplexSolve|BenchmarkVddLP16Tasks|BenchmarkVddLP32Tasks|BenchmarkDiscreteExact12Tasks|BenchmarkAblation_WaterfillChain32|BenchmarkSimulateChain64|BenchmarkSimulate5k|BenchmarkCampaign1k|BenchmarkCampaignFaultFree1k|BenchmarkSweepAllClasses|BenchmarkCampaignChunked1M|BenchmarkCampaignAdaptive
 
 BENCH_FLAGS = -run='^$$' -bench='^($(GATED_BENCHES))$$' -benchmem -benchtime=10x -count=5
 

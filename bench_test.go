@@ -581,6 +581,41 @@ func BenchmarkCampaign1k(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulate5k measures the campaign one POST /v1/simulate
+// request runs: a fresh Runner and a 5000-trial campaign on two
+// workers, on an n=24 layered TRI-CRIT instance at λ0 = 1e-3, where
+// about a third of the trials draw a fault and run the sweep. Gated by
+// cmd/benchgate.
+func BenchmarkSimulate5k(b *testing.B) {
+	sm, err := model.NewContinuous(0.1, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := workload.ClassLayered.Generate(rand.New(rand.NewSource(5)), 24, workload.UniformWeights)
+	ls, err := listsched.CriticalPath(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := model.Reliability{Lambda0: 1e-3, Sensitivity: 3, FMin: sm.FMin, FMax: sm.FMax}
+	in := &core.Instance{Graph: g, Mapping: ls.Mapping, Speed: sm, Deadline: ls.Makespan / sm.FMax * 2,
+		Rel: &rel, FRel: 0.8 * sm.FMax}
+	res, err := core.Solve(context.Background(), in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := sim.RunCampaign(context.Background(), in, res.Schedule, sim.CampaignOptions{Trials: 5000, Seed: 5, Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.FaultFreeTrials == c.Trials {
+			b.Fatal("campaign drew no faults")
+		}
+	}
+}
+
 // benchCampaignFaultFree measures a warmed 1000-trial campaign on a
 // high-reliability instance (λ0 = 1e-5, the regime the paper's
 // reliability targets put campaigns in), where virtually every trial

@@ -12,11 +12,12 @@
 // Runner.Run): at the reliability targets the paper studies the
 // overwhelming majority of trials draw zero faults, replay the
 // deterministic fault-free schedule, and therefore cost only the
-// occurrence-uniform draws — the event heap runs solely for the
-// faulty minority. Worker Runners are Clones sharing the immutable
-// per-attempt tables, their scratch slab-allocated in one block per
-// type, and the whole campaign state is retained on the base Runner,
-// so repeated campaigns run with near-zero steady-state allocation.
+// occurrence-uniform draws — only the faulty minority is executed, by
+// a heap-free sweep over the constraint graph. Worker Runners are
+// Clones sharing the immutable per-attempt tables, their scratch
+// carved from line-padded slabs, and the whole campaign state is
+// retained on the base Runner, so repeated campaigns run with
+// near-zero steady-state allocation.
 package sim
 
 import (
@@ -122,7 +123,7 @@ type Campaign struct {
 // CampaignProfile is the per-phase timing of one RunCampaign call: how
 // the wall clock split between the parallel trials phase and the
 // sequential merge, and how many trials the fault-free fast path
-// served versus the event heap. Nondeterministic by nature, so it
+// served versus the rest. Nondeterministic by nature, so it
 // never participates in campaign caching or equivalence.
 type CampaignProfile struct {
 	// TrialsNs is the wall time of the parallel trial phase (pool launch
@@ -130,7 +131,7 @@ type CampaignProfile struct {
 	TrialsNs int64 `json:"trialsNs"`
 	MergeNs  int64 `json:"mergeNs"`
 	// FastPathTrials counts trials served by the precomputed fault-free
-	// outcome; HeapTrials ran the event heap.
+	// outcome; HeapTrials counts trials not served by the fast path.
 	FastPathTrials int64 `json:"fastPathTrials"`
 	HeapTrials     int64 `json:"heapTrials"`
 	// Workers is the resolved pool size the campaign ran with.
@@ -182,14 +183,13 @@ type trialSlot struct {
 
 // campaignScratch is the reusable campaign state a Runner retains
 // across campaigns: the worker runners (the owning Runner first, then
-// clones with slab-allocated per-trial scratch), per-worker traces, a
+// clones whose trial scratch is carved from line-padded slabs), a
 // one-chunk trial-slot array, the outcome histograms and the worker
 // pool. It grows monotonically — a campaign needing more workers or a
 // larger chunk than any before it reallocates, every other campaign
 // reuses.
 type campaignScratch struct {
 	runners []*Runner // worker w runs runners[w]; runners[0] is the owner
-	traces  []Trace
 	slots   []trialSlot
 	eHist   *hist.Histogram
 	mHist   *hist.Histogram
@@ -198,8 +198,9 @@ type campaignScratch struct {
 
 // campaignScratchFor returns the runner's campaign scratch, grown to
 // hold workers goroutines and slots trial slots. Worker 0 is the base
-// runner itself; clones cover the rest, with each scratch type
-// allocated as one slab sliced across the clones.
+// runner itself; clones cover the rest, their runners allocated as one
+// slab and their trial scratch as one set of line-padded slabs, so no
+// two workers write to the same cache line.
 func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 	cs := r.camp
 	if cs == nil {
@@ -211,13 +212,8 @@ func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 	}
 	if len(cs.runners) < workers {
 		need := workers - 1
-		n := len(r.first)
-		hc := cap(r.heap)
 		slab := make([]Runner, need)
-		indeg := make([]int32, need*n)
-		done := make([]bool, need*n)
-		us := make([]float64, 2*need*n)
-		heaps := make([]event, need*hc)
+		scratch := newScratchSlabs(len(r.first), need)
 		runners := make([]*Runner, workers)
 		runners[0] = r
 		for w := 0; w < need; w++ {
@@ -225,17 +221,10 @@ func (r *Runner) campaignScratchFor(workers, slots int) *campaignScratch {
 			// Same table sharing as Clone, scratch carved from slabs.
 			*c = *r
 			c.camp = nil
-			c.indeg = indeg[w*n : (w+1)*n]
-			c.done = done[w*n : (w+1)*n]
-			c.u1 = us[2*w*n : (2*w+1)*n]
-			c.u2 = us[(2*w+1)*n : (2*w+2)*n]
-			c.heap = heaps[w*hc : w*hc : (w+1)*hc]
+			c.sc = scratch.scratch(w)
 			runners[w+1] = c
 		}
 		cs.runners = runners
-	}
-	if len(cs.traces) < workers {
-		cs.traces = make([]Trace, workers)
 	}
 	if cap(cs.slots) < slots {
 		cs.slots = make([]trialSlot, slots)

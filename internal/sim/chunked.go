@@ -190,7 +190,6 @@ func WilsonHalfWidth(s, n int, z float64) float64 {
 type chunkPool struct {
 	ctx     context.Context
 	runners []*Runner   // worker w runs runners[w]
-	traces  []Trace     // worker w records into traces[w]
 	slots   []trialSlot // capacity one chunk; re-sliced per chunk
 	base    int         // first trial of the current chunk
 	next    atomic.Int64
@@ -204,12 +203,11 @@ type chunkPool struct {
 func (p *chunkPool) start(ctx context.Context, cs *campaignScratch, workers int) {
 	p.ctx = ctx
 	p.runners = cs.runners[:workers]
-	p.traces = cs.traces[:workers]
 	p.slots = cs.slots[:0]
 	p.work = make(chan struct{}, workers)
 	p.exitWG.Add(workers)
 	for w, rn := range p.runners {
-		rn.fastServed = 0
+		rn.sc.fastServed = 0
 		go p.worker(w)
 	}
 }
@@ -217,15 +215,16 @@ func (p *chunkPool) start(ctx context.Context, cs *campaignScratch, workers int)
 func (p *chunkPool) worker(w int) {
 	defer p.exitWG.Done()
 	for range p.work {
-		p.runClaims(p.runners[w], &p.traces[w])
+		p.runClaims(p.runners[w])
 		p.chunkWG.Done()
 	}
 }
 
 // runClaims claims claimSize-long runs of slot indices until the
 // counter runs past the chunk or the context is cancelled, executing
-// trial base+i into slots[i].
-func (p *chunkPool) runClaims(r *Runner, tr *Trace) {
+// trial base+i into slots[i] on the runner's own trace.
+func (p *chunkPool) runClaims(r *Runner) {
+	tr := &r.sc.trace
 	n := len(p.slots)
 	for {
 		lo := int(p.next.Add(claimSize)) - claimSize
@@ -428,7 +427,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 	}
 	var fastServed int64
 	for _, rn := range pool.runners {
-		fastServed += rn.fastServed
+		fastServed += rn.sc.fastServed
 	}
 	c.Profile = CampaignProfile{
 		TrialsNs:       trialsNs,

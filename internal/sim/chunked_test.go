@@ -33,7 +33,7 @@ func refCampaign(t *testing.T, r *Runner, trials int) *Campaign {
 	}
 	var sumE, sumM float64
 	var tr Trace
-	r.fastServed = 0
+	r.sc.fastServed = 0
 	for trial := 0; trial < trials; trial++ {
 		r.Run(trial, &tr)
 		o := tr.Outcome
@@ -65,7 +65,7 @@ func refCampaign(t *testing.T, r *Runner, trials int) *Campaign {
 	c.Makespan.Mean = sumM / n
 	c.EnergyHist = eh.JSON()
 	c.MakespanHist = mh.JSON()
-	c.Profile = CampaignProfile{FastPathTrials: r.fastServed, HeapTrials: int64(trials) - r.fastServed}
+	c.Profile = CampaignProfile{FastPathTrials: r.sc.fastServed, HeapTrials: int64(trials) - r.sc.fastServed}
 	return c
 }
 

@@ -173,7 +173,7 @@ func TestClone(t *testing.T) {
 	if &r.first[0] != &c.first[0] || &r.second[0] != &c.second[0] || r.cg != c.cg {
 		t.Fatal("clone does not share the immutable attempt tables")
 	}
-	if &r.u1[0] == &c.u1[0] || &r.indeg[0] == &c.indeg[0] {
+	if &r.sc.u1[0] == &c.sc.u1[0] || &r.sc.indeg[0] == &c.sc.indeg[0] {
 		t.Fatal("clone shares per-trial scratch with its source")
 	}
 	if c.ff != r.ff {

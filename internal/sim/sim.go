@@ -11,24 +11,29 @@
 // must match the closed-form reliability and whose fault-free
 // replays must reproduce the solver's own numbers exactly.
 //
-// The engine is a classic event-queue simulation: a binary heap of
-// (time, task, attempt, kind) events with a total deterministic
+// The reference engine is a classic event-queue simulation: a binary
+// heap of (time, task, attempt, kind) events with a total deterministic
 // order; an execution attempt becomes ready when every predecessor in
 // the mapping's constraint graph (DAG precedence ∪ same-processor
 // order) has completed, and starts at the later of that instant and
-// its scheduled start time. Faults are drawn per attempt from
-// counter-split splitmix64 streams (internal/rng), one stream per
-// (seed, trial) pair, so campaigns are reproducible and embarrassingly
-// parallel. Recovery after a failed first attempt is pluggable:
-// re-execute at the same speed (in the schedule's re-execution slot
-// when the solver provisioned one), re-execute at fmax, or abort the
-// run.
+// its scheduled start time. Because the mapping is fixed, a trial's
+// timeline is a longest-path pass over that graph, so campaign trials
+// run on a heap-free sweep in topological order instead (runSweep),
+// bit-identical to the heap; recording runs, which want the event log,
+// and Options.DisableFastPath keep the heap. Faults are drawn per
+// attempt from counter-split splitmix64 streams (internal/rng), one
+// stream per (seed, trial) pair, so campaigns are reproducible and
+// embarrassingly parallel. Recovery after a failed first attempt is
+// pluggable: re-execute at the same speed (in the schedule's
+// re-execution slot when the solver provisioned one), re-execute at
+// fmax, or abort the run.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"energysched/internal/core"
 	"energysched/internal/dag"
@@ -173,11 +178,12 @@ type Options struct {
 	DisableFaults bool
 	// Record fills Trace.Events with the time-ordered event log.
 	Record bool
-	// DisableFastPath forces every trial through the event heap even
-	// when the occurrence draws admit the precomputed fault-free
-	// outcome. The fast path is bit-identical by construction (and
-	// equivalence-tested); this switch exists for benchmarks comparing
-	// the two paths and for the equivalence tests themselves.
+	// DisableFastPath forces every trial through the event heap, which
+	// otherwise runs only for recording runs: neither the precomputed
+	// fault-free outcome nor the sweep is used. Both are bit-identical
+	// to the heap (and equivalence-tested); this switch exists for
+	// benchmarks comparing the paths and for the equivalence tests
+	// themselves.
 	DisableFastPath bool
 }
 
@@ -217,12 +223,12 @@ func eventLess(a, b event) bool {
 }
 
 // Runner is a prepared simulation: instance and schedule cross-checked
-// once, constraint graph built once, per-attempt durations, energies,
-// failure probabilities — and the fault-free outcome — precomputed
-// once. Run then executes individual trials allocation-free, so
-// campaigns amortize all setup, and trials whose occurrence draws
-// admit no fault short-circuit to the precomputed outcome without
-// touching the event heap. A Runner is not safe for concurrent use;
+// once, constraint graph and its topological order built once,
+// per-attempt durations, energies, failure probabilities — and the
+// fault-free outcome — precomputed once. Run then executes individual
+// trials allocation-free, so campaigns amortize all setup, and trials
+// whose occurrence draws admit no fault short-circuit to the
+// precomputed outcome. A Runner is not safe for concurrent use;
 // campaigns give each worker its own Clone.
 type Runner struct {
 	in   *core.Instance
@@ -231,6 +237,7 @@ type Runner struct {
 	opts Options
 
 	cg     *dag.Graph
+	topo   []int   // a topological order of cg
 	indeg0 []int32 // constraint-graph indegree template
 	first  []attempt
 	second []attempt // dur == 0 → no second attempt possible
@@ -243,21 +250,104 @@ type Runner struct {
 	// noFast forces the event heap for every trial
 	// (Options.DisableFastPath).
 	noFast bool
-	// fastServed counts trials this runner answered from the fast path
-	// since the campaign last reset it — each worker counts its own,
-	// the campaign engine sums them into the campaign profile.
-	fastServed int64
-
-	// per-trial scratch
-	indeg  []int32
-	done   []bool // task completed all its attempts successfully
-	u1, u2 []float64
-	heap   []event
 
 	// camp is the reusable campaign state (worker clones, trial slots,
 	// outcome histograms, worker pool), built lazily by the first
 	// campaign.
 	camp *campaignScratch
+
+	// sc is everything a trial writes. The pads keep it off every
+	// cache line holding another runner's fields or any other object.
+	_  [cacheLine]byte
+	sc trialScratch
+	_  [cacheLine]byte
+}
+
+// trialScratch is one runner's per-trial state. Its slices are carved
+// from line-padded slabs (scratchSlabs), so the campaign workers'
+// scratch never shares a cache line.
+type trialScratch struct {
+	u1, u2 []float64 // occurrence uniforms, drawn in task order
+	// release is the sweep's per-task release time (unreleased when
+	// the task, or a predecessor, failed for good).
+	release []float64
+	indeg   []int32
+	done    []bool // task completed all its attempts successfully
+	// heap is the event heap's buffer; the sweep reuses it for its
+	// finish records.
+	heap []event
+	// trace is the trace a campaign worker runs its trials into.
+	trace Trace
+	// fastServed counts trials this runner answered from the fast path
+	// since the campaign last reset it — each worker counts its own,
+	// the campaign engine sums them into the campaign profile.
+	fastServed int64
+	// sweepFallbacks counts trials the sweep handed back to the event
+	// heap because an attempt's duration was absorbed by its start.
+	sweepFallbacks int64
+}
+
+// cacheLine is the cache-line size the worker scratch is padded to.
+const cacheLine = 64
+
+// scratchSlabs backs the trial scratch of one or more runners with one
+// slab per element type. Each runner's region is padded to whole cache
+// lines and has a guard line on either side, so whatever the slab's
+// alignment, no two runners' regions — and no other object — touch the
+// same cache line.
+type scratchSlabs struct {
+	n      int
+	floats []float64 // u1, u2, release
+	indeg  []int32
+	done   []bool
+	heap   []event
+}
+
+func newScratchSlabs(n, runners int) scratchSlabs {
+	return scratchSlabs{
+		n:      n,
+		floats: lineSlab[float64](runners, 3*n),
+		indeg:  lineSlab[int32](runners, n),
+		done:   lineSlab[bool](runners, n),
+		heap:   lineSlab[event](runners, 4*n),
+	}
+}
+
+// scratch returns the trial scratch of runner w.
+func (sl scratchSlabs) scratch(w int) trialScratch {
+	n := sl.n
+	fl := lineRegion(sl.floats, w, 3*n)
+	return trialScratch{
+		u1:      fl[:n:n],
+		u2:      fl[n : 2*n : 2*n],
+		release: fl[2*n:],
+		indeg:   lineRegion(sl.indeg, w, n),
+		done:    lineRegion(sl.done, w, n),
+		heap:    lineRegion(sl.heap, w, 4*n)[:0],
+	}
+}
+
+// lineStride returns the guard length and the region-plus-guard stride,
+// in elements of T, of a line slab whose regions hold n elements.
+func lineStride[T any](n int) (guard, stride int) {
+	size := int(unsafe.Sizeof(*new(T)))
+	elems := func(bytes int) int { return (bytes + size - 1) / size }
+	guard = elems(cacheLine)
+	return guard, elems((n*size+cacheLine-1)/cacheLine*cacheLine) + guard
+}
+
+// lineSlab allocates a line slab of the given number of n-element
+// regions, laid out guard, region, guard, region, …, guard.
+func lineSlab[T any](regions, n int) []T {
+	guard, stride := lineStride[T](n)
+	return make([]T, guard+regions*stride)
+}
+
+// lineRegion returns region w of a line slab, capped at n elements.
+func lineRegion[T any](slab []T, w, n int) []T {
+	guard, stride := lineStride[T](n)
+	lo := guard + w*stride
+	return slab[lo : lo+n : lo+n]
 }
 
 // NewRunner validates the pairing and precomputes the trial-invariant
@@ -283,7 +373,8 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cg.TopoOrder(); err != nil {
+	topo, err := cg.TopoOrder()
+	if err != nil {
 		return nil, err
 	}
 	r := &Runner{
@@ -292,15 +383,12 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 		rel:    in.Rel,
 		opts:   opts,
 		cg:     cg,
+		topo:   topo,
 		indeg0: make([]int32, n),
 		first:  make([]attempt, n),
 		second: make([]attempt, n),
 		hasSec: make([]bool, n),
-		indeg:  make([]int32, n),
-		done:   make([]bool, n),
-		u1:     make([]float64, n),
-		u2:     make([]float64, n),
-		heap:   make([]event, 0, 4*n),
+		sc:     newScratchSlabs(n, 1).scratch(0),
 	}
 	for i := 0; i < n; i++ {
 		for range cg.Preds(i) {
@@ -358,7 +446,7 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 // Clone returns a Runner that shares every immutable trial-invariant
 // table with r — instance, schedule, constraint graph, per-attempt
 // tables, precomputed fault-free outcome — and owns fresh per-trial
-// scratch. Cloning costs five O(n) slice allocations instead of the
+// scratch. Cloning costs four O(n) slab allocations instead of the
 // constraint-graph reconstruction and validation NewRunner pays,
 // which is what makes campaign worker pools cheap. The clone starts
 // from the same Options; like its source, it is not safe for
@@ -366,12 +454,7 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 func (r *Runner) Clone() *Runner {
 	c := new(Runner)
 	*c = *r
-	n := len(r.first)
-	c.indeg = make([]int32, n)
-	c.done = make([]bool, n)
-	c.u1 = make([]float64, n)
-	c.u2 = make([]float64, n)
-	c.heap = make([]event, 0, cap(r.heap))
+	c.sc = newScratchSlabs(len(r.first), 1).scratch(0)
 	c.camp = nil
 	return c
 }
@@ -398,18 +481,21 @@ func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 // only the occurrence uniforms. They are drawn in the same task order
 // the event-heap path uses; when none admits a fault the trial is the
 // deterministic fault-free execution and Run emits the precomputed
-// Outcome without touching the heap. Each trial owns its counter-split
-// stream rng.At(Seed, trial), so stopping after the occurrence block
-// is unobservable — no later consumer shares the stream — and the
-// emitted outcome is bit-identical to the event-heap run (equivalence-
-// tested across seeds, policies and workload classes).
+// Outcome. Each trial owns its counter-split stream rng.At(Seed,
+// trial), so stopping after the occurrence block is unobservable — no
+// later consumer shares the stream. A trial that does draw a fault runs
+// on the heap-free sweep (runSweep). Both emit outcomes bit-identical
+// to the event heap (equivalence-tested across seeds, policies, speed
+// models and workload classes); recording runs and DisableFastPath
+// use the heap itself.
 func (r *Runner) Run(trial int, tr *Trace) {
 	opts := r.opts
+	sc := &r.sc
 	injecting := r.rel != nil && !opts.DisableFaults
 	fast := !r.noFast && !opts.Record
 	if !injecting {
 		if fast {
-			r.fastServed++
+			sc.fastServed++
 			tr.Events = tr.Events[:0]
 			tr.Outcome = r.ff
 			return
@@ -423,27 +509,33 @@ func (r *Runner) Run(trial int, tr *Trace) {
 	n := len(r.first)
 	stream := rng.At(opts.Seed, trial)
 	for i := 0; i < n; i++ {
-		r.u1[i] = stream.Float64()
+		sc.u1[i] = stream.Float64()
 	}
 	if fast && !opts.WorstCase && r.cleanFirst() {
 		// No first attempt faults; no second attempt runs. The trial
 		// is the fault-free replay.
-		r.fastServed++
+		sc.fastServed++
 		tr.Events = tr.Events[:0]
 		tr.Outcome = r.ff
 		return
 	}
 	for i := 0; i < n; i++ {
-		r.u2[i] = stream.Float64()
+		sc.u2[i] = stream.Float64()
 	}
 	if fast && opts.WorstCase && r.cleanFirst() && r.cleanSecondWorstCase() {
 		// Worst-case replay runs every scheduled execution whatever
 		// the draws, so the fault-free short-circuit must also clear
 		// the always-running second attempts.
-		r.fastServed++
+		sc.fastServed++
 		tr.Events = tr.Events[:0]
 		tr.Outcome = r.ff
 		return
+	}
+	if fast {
+		if r.runSweep(tr) {
+			return
+		}
+		sc.sweepFallbacks++
 	}
 	r.runHeap(tr, true)
 }
@@ -453,7 +545,7 @@ func (r *Runner) Run(trial int, tr *Trace) {
 // each EventStart.
 func (r *Runner) cleanFirst() bool {
 	for i := range r.first {
-		if p := r.first[i].p; p > 0 && r.u1[i] < p {
+		if p := r.first[i].p; p > 0 && r.sc.u1[i] < p {
 			return false
 		}
 	}
@@ -467,31 +559,144 @@ func (r *Runner) cleanSecondWorstCase() bool {
 		if !r.hasSec[i] {
 			continue
 		}
-		if p := r.second[i].p; p > 0 && r.u2[i] < p {
+		if p := r.second[i].p; p > 0 && r.sc.u2[i] < p {
 			return false
 		}
 	}
 	return true
 }
 
+// unreleased marks, in the sweep's release times, a task whose
+// successors never run.
+var unreleased = math.Inf(-1)
+
+// runSweep executes one injecting trial, its occurrence uniforms u1/u2
+// already drawn, in one pass over the constraint graph in topological
+// order: the heap-free equivalent of runHeap(tr, true). The mapping is
+// fixed and processor order is part of the constraint graph, so a task
+// starts at the later of its scheduled start and the release times of
+// its predecessors, and never runs if one of them failed for good.
+// Recovery follows runHeap's rules. Times, counts and flags come out
+// the same in any order; the energy sum does not. runHeap adds each
+// attempt's energy when it pops the attempt's finish, and while every
+// attempt that runs ends strictly after it starts, that pop order is
+// ascending (finish time, task, attempt): an event still to come
+// descends from one already queued, and its finish lies strictly later
+// than that ancestor. The sweep therefore records the finishes,
+// insertion-sorts them and folds the energy in that order. If some
+// attempt's duration is absorbed by its start time (start+dur ==
+// start, as with extreme weights), the heap's order is causal rather
+// than sorted; runSweep then returns false without touching tr, and
+// the caller replays the trial on runHeap with the same draws.
+func (r *Runner) runSweep(tr *Trace) bool {
+	sc := &r.sc
+	wc := r.opts.WorstCase
+	release := sc.release
+	fin := sc.heap[:0]
+	out := Outcome{Succeeded: true}
+tasks:
+	for _, i := range r.topo {
+		release[i] = unreleased
+		start := r.first[i].start
+		for _, p := range r.cg.Preds(i) {
+			t := release[p]
+			if t == unreleased {
+				continue tasks
+			}
+			if t > start {
+				start = t
+			}
+		}
+		a := &r.first[i]
+		end := start + a.dur
+		if end == start {
+			return false
+		}
+		lost := a.p > 0 && sc.u1[i] < a.p
+		fin = append(fin, event{time: end, task: int32(i), kind: EventFinish})
+		if end > out.Makespan {
+			out.Makespan = end
+		}
+		if lost {
+			out.Faults++
+		}
+		if r.hasSec[i] && (lost || wc) {
+			// Recovery, or worst-case replay's provisioned
+			// re-execution: the second attempt starts when the first
+			// ends, or in its scheduled slot if that is later.
+			b := &r.second[i]
+			start = end
+			if b.start >= 0 && b.start > start {
+				start = b.start
+			}
+			end = start + b.dur
+			if end == start {
+				return false
+			}
+			failed := b.p > 0 && sc.u2[i] < b.p
+			fin = append(fin, event{time: end, task: int32(i), attempt: 1, kind: EventFinish})
+			if end > out.Makespan {
+				out.Makespan = end
+			}
+			if failed {
+				out.Faults++
+			}
+			out.Reexecutions++
+			lost = lost && failed
+		}
+		if lost {
+			// Live execution prunes the failed task's successors;
+			// worst-case replay runs them and only the success
+			// statistic records the failure.
+			out.Succeeded = false
+			if !wc {
+				continue
+			}
+		}
+		release[i] = end
+	}
+	for k := 1; k < len(fin); k++ {
+		e := fin[k]
+		j := k
+		for ; j > 0 && eventLess(e, fin[j-1]); j-- {
+			fin[j] = fin[j-1]
+		}
+		fin[j] = e
+	}
+	for k := range fin {
+		if fin[k].attempt == 0 {
+			out.Energy += r.first[fin[k].task].energy
+		} else {
+			out.Energy += r.second[fin[k].task].energy
+		}
+	}
+	out.DeadlineMet = out.Succeeded && r.withinDeadline(out.Makespan)
+	tr.Events = tr.Events[:0]
+	tr.Outcome = out
+	return true
+}
+
 // runHeap is the event-heap execution of one trial; when injecting,
 // the occurrence uniforms u1/u2 must already be filled for this trial.
+// It is the reference engine: recording runs and DisableFastPath use
+// it for every trial, and runSweep must match it bit for bit.
 func (r *Runner) runHeap(tr *Trace, injecting bool) {
 	n := r.in.Graph.N()
 	opts := r.opts
-	copy(r.indeg, r.indeg0)
-	for i := range r.done {
-		r.done[i] = false
+	sc := &r.sc
+	copy(sc.indeg, r.indeg0)
+	for i := range sc.done {
+		sc.done[i] = false
 	}
 	tr.Events = tr.Events[:0]
 	out := Outcome{Succeeded: true}
-	r.heap = r.heap[:0]
+	sc.heap = sc.heap[:0]
 	for i := 0; i < n; i++ {
 		if r.indeg0[i] == 0 {
 			r.push(event{time: r.first[i].start, task: int32(i), attempt: 0, kind: EventStart})
 		}
 	}
-	for len(r.heap) > 0 {
+	for len(sc.heap) > 0 {
 		ev := r.pop()
 		i := int(ev.task)
 		att := &r.first[i]
@@ -502,9 +707,9 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 		case EventStart:
 			failed := false
 			if injecting && att.p > 0 {
-				u := r.u1[i]
+				u := sc.u1[i]
 				if ev.attempt == 1 {
-					u = r.u2[i]
+					u = sc.u2[i]
 				}
 				if u < att.p {
 					failed = true
@@ -538,13 +743,13 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 				// Worst-case replay: the provisioned re-execution always
 				// runs; the task fails only if both attempts do.
 				if !ev.failed {
-					r.done[i] = true // success already banked
+					sc.done[i] = true // success already banked
 				}
 				r.startAttempt(i, 1, ev.time, &out)
 			case ev.attempt == 0 && ev.failed && !opts.WorstCase && r.hasSec[i]:
 				out.Reexecutions++
 				r.startAttempt(i, 1, ev.time, &out)
-			case ev.failed && !r.done[i]:
+			case ev.failed && !sc.done[i]:
 				// Final attempt failed (or abort policy): the task — and
 				// with it the run — fails. Live execution prunes the
 				// failed task's successors; worst-case replay keeps
@@ -555,14 +760,20 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 					r.release(i, ev.time)
 				}
 			default:
-				r.done[i] = true
+				sc.done[i] = true
 				r.release(i, ev.time)
 			}
 		}
 	}
-	d := r.in.Deadline
-	out.DeadlineMet = out.Succeeded && out.Makespan <= d+schedule.TimeEps*math.Max(1, d)
+	out.DeadlineMet = out.Succeeded && r.withinDeadline(out.Makespan)
 	tr.Outcome = out
+}
+
+// withinDeadline reports whether a run ending at makespan meets the
+// instance deadline, with the validator's tolerance.
+func (r *Runner) withinDeadline(makespan float64) bool {
+	d := r.in.Deadline
+	return makespan <= d+schedule.TimeEps*math.Max(1, d)
 }
 
 // startAttempt enqueues the start of attempt k of task i after the
@@ -585,8 +796,8 @@ func (r *Runner) startAttempt(i, k int, now float64, out *Outcome) {
 // done starts at the later of now and its scheduled start.
 func (r *Runner) release(i int, now float64) {
 	for _, v := range r.cg.Succs(i) {
-		r.indeg[v]--
-		if r.indeg[v] == 0 {
+		r.sc.indeg[v]--
+		if r.sc.indeg[v] == 0 {
 			start := r.first[v].start
 			if now > start {
 				start = now
@@ -619,37 +830,40 @@ func faultOffset(att *attempt, u float64, rel model.Reliability) float64 {
 }
 
 func (r *Runner) push(ev event) {
-	r.heap = append(r.heap, ev)
-	i := len(r.heap) - 1
+	h := append(r.sc.heap, ev)
+	r.sc.heap = h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(r.heap[i], r.heap[parent]) {
+		if !eventLess(h[i], h[parent]) {
 			break
 		}
-		r.heap[i], r.heap[parent] = r.heap[parent], r.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
 func (r *Runner) pop() event {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
+	h := r.sc.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	r.sc.heap = h
 	i := 0
 	for {
 		l, rr := 2*i+1, 2*i+2
 		small := i
-		if l < last && eventLess(r.heap[l], r.heap[small]) {
+		if l < last && eventLess(h[l], h[small]) {
 			small = l
 		}
-		if rr < last && eventLess(r.heap[rr], r.heap[small]) {
+		if rr < last && eventLess(h[rr], h[small]) {
 			small = rr
 		}
 		if small == i {
 			break
 		}
-		r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
+		h[i], h[small] = h[small], h[i]
 		i = small
 	}
 	return top
