@@ -535,7 +535,7 @@ func simChain64Rel(b *testing.B, lambda0 float64) (*core.Instance, *schedule.Sch
 }
 
 // simChain64 is the historical gated simulator workload: real fault
-// pressure, so campaigns mix fast-path and event-heap trials.
+// pressure, so campaigns mix fast-path and sweep trials.
 func simChain64(b *testing.B) (*core.Instance, *schedule.Schedule) {
 	return simChain64Rel(b, 0.01)
 }
@@ -550,7 +550,7 @@ func BenchmarkSimulateChain64(b *testing.B) {
 		b.Fatal(err)
 	}
 	var tr sim.Trace
-	r.Run(0, &tr) // warm the event heap
+	r.Run(0, &tr) // warm the trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -616,16 +616,19 @@ func BenchmarkSimulate5k(b *testing.B) {
 	}
 }
 
-// benchCampaignFaultFree measures a warmed 1000-trial campaign on a
-// high-reliability instance (λ0 = 1e-5, the regime the paper's
+// BenchmarkCampaignFaultFree1k measures a warmed 1000-trial campaign
+// on a high-reliability instance (λ0 = 1e-5, the regime the paper's
 // reliability targets put campaigns in), where virtually every trial
 // draws zero faults. The Runner is built outside the loop, so the
 // measurement is the steady-state campaign cost a sweep-scale
-// workload pays per (instance, schedule) pair.
-func benchCampaignFaultFree(b *testing.B, heapOnly bool) {
-	b.Helper()
+// workload pays per (instance, schedule) pair. It is the fast-path
+// contract: the fault-free short-circuit must hold a ≥10× lead over
+// the event heap (BenchmarkCampaignFaultFree1kHeapOnly in
+// internal/sim) with near-zero steady-state allocations. Gated by
+// cmd/benchgate.
+func BenchmarkCampaignFaultFree1k(b *testing.B) {
 	in, s := simChain64Rel(b, 1e-5)
-	r, err := sim.NewRunner(in, s, sim.Options{Seed: 5, DisableFastPath: heapOnly})
+	r, err := sim.NewRunner(in, s, sim.Options{Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -645,16 +648,6 @@ func benchCampaignFaultFree(b *testing.B, heapOnly bool) {
 		}
 	}
 }
-
-// BenchmarkCampaignFaultFree1k is the fast-path contract: the
-// fault-free short-circuit must hold a ≥10× lead over the event-heap
-// path (BenchmarkCampaignFaultFree1kHeapOnly) with near-zero
-// steady-state allocations. Gated by cmd/benchgate.
-func BenchmarkCampaignFaultFree1k(b *testing.B) { benchCampaignFaultFree(b, false) }
-
-// BenchmarkCampaignFaultFree1kHeapOnly is the ablation baseline: the
-// same campaign with every trial forced through the event heap.
-func BenchmarkCampaignFaultFree1kHeapOnly(b *testing.B) { benchCampaignFaultFree(b, true) }
 
 // BenchmarkCampaignChunked1M measures a full million-trial chunked
 // campaign — the unit of work a POST /v1/jobs campaign buys — on the

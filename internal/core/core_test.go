@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"energysched/internal/dag"
@@ -18,7 +20,7 @@ func contInstance(deadline float64) *Instance {
 
 func TestSolveBiCritContinuous(t *testing.T) {
 	in := contInstance(2)
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestSolveBiCritVdd(t *testing.T) {
 	mp, _ := platform.SingleProcessor(g)
 	sm, _ := model.NewVddHopping([]float64{0.5, 1, 2})
 	in := &Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: 4}
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 	mp, _ := platform.SingleProcessor(small)
 	sm, _ := model.NewDiscrete(model.XScaleLevels())
 	in := &Instance{Graph: small, Mapping: mp, Speed: sm, Deadline: 10}
-	sol, err := SolveBiCrit(in)
+	sol, err := Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 	big := dag.ChainGraph(ws...)
 	mpB, _ := platform.SingleProcessor(big)
 	inB := &Instance{Graph: big, Mapping: mpB, Speed: sm, Deadline: 120}
-	solB, err := SolveBiCrit(inB)
+	solB, err := Solve(context.Background(), inB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestSolveBiCritDiscreteExactVsApprox(t *testing.T) {
 func TestSolveBiCritInfeasible(t *testing.T) {
 	in := contInstance(0.1)
 	in.Speed, _ = model.NewContinuous(0.05, 1)
-	if _, err := SolveBiCrit(in); err != ErrInfeasible {
+	if _, err := Solve(context.Background(), in); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -97,8 +99,9 @@ func TestSolveBiCritRejectsTriCritInstance(t *testing.T) {
 	rel := model.DefaultReliability(in.Speed.FMin, in.Speed.FMax)
 	in.Rel = &rel
 	in.FRel = 0.8
-	if _, err := SolveBiCrit(in); err == nil {
-		t.Error("tri-crit instance accepted by SolveBiCrit")
+	_, err := Solve(context.Background(), in, WithSolver(SolverContinuousConvex))
+	if err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Errorf("tri-crit instance on the BI-CRIT solver: err = %v", err)
 	}
 }
 
@@ -113,7 +116,7 @@ func triInstance(deadline float64) *Instance {
 func TestSolveTriCritAllStrategies(t *testing.T) {
 	for _, strat := range []Strategy{StrategyBestOf, StrategyChainFirst, StrategyParallelFirst, StrategyExact} {
 		in := triInstance(15)
-		sol, err := SolveTriCrit(in, strat)
+		sol, err := Solve(context.Background(), in, WithStrategy(strat))
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -126,7 +129,7 @@ func TestSolveTriCritAllStrategies(t *testing.T) {
 func TestSolveTriCritVddAdaptation(t *testing.T) {
 	in := triInstance(15)
 	in.Speed, _ = model.NewVddHopping([]float64{0.1, 0.3, 0.5, 0.8, 1.0})
-	sol, err := SolveTriCrit(in, StrategyBestOf)
+	sol, err := Solve(context.Background(), in, WithStrategy(StrategyBestOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestSolveTriCritVddAdaptation(t *testing.T) {
 	}
 	// The adaptation can only lose energy versus the continuous result.
 	inC := triInstance(15)
-	solC, err := SolveTriCrit(inC, StrategyBestOf)
+	solC, err := Solve(context.Background(), inC, WithStrategy(StrategyBestOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +150,17 @@ func TestSolveTriCritVddAdaptation(t *testing.T) {
 func TestSolveTriCritRejectsDiscrete(t *testing.T) {
 	in := triInstance(15)
 	in.Speed, _ = model.NewDiscrete([]float64{0.5, 1})
-	if _, err := SolveTriCrit(in, StrategyBestOf); err == nil {
-		t.Error("DISCRETE tri-crit accepted")
+	_, err := Solve(context.Background(), in, WithStrategy(StrategyBestOf))
+	if err == nil || !strings.Contains(err.Error(), "no registered solver supports") {
+		t.Errorf("DISCRETE tri-crit: err = %v", err)
 	}
 }
 
 func TestSolveTriCritRejectsBiCritInstance(t *testing.T) {
 	in := contInstance(5)
-	if _, err := SolveTriCrit(in, StrategyBestOf); err == nil {
-		t.Error("bi-crit instance accepted by SolveTriCrit")
+	_, err := Solve(context.Background(), in, WithSolver(TriCritSolverName(StrategyBestOf)))
+	if err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Errorf("bi-crit instance on the TRI-CRIT solver: err = %v", err)
 	}
 }
 
@@ -212,11 +217,11 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("reliability lost")
 	}
 	// Both instances must solve to the same energy.
-	a, err := SolveTriCrit(in, StrategyChainFirst)
+	a, err := Solve(context.Background(), in, WithStrategy(StrategyChainFirst))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveTriCrit(back, StrategyChainFirst)
+	b, err := Solve(context.Background(), back, WithStrategy(StrategyChainFirst))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Defaults for the tunable solving knobs. They reproduce the behavior
-// of the historical SolveBiCrit/SolveTriCrit entry points.
+// Defaults for the tunable solving knobs, used by Solve when no option
+// overrides them.
 const (
 	// DefaultExactSizeLimit is the largest n·levels product for which
 	// auto-dispatch uses the exponential exact DISCRETE solver before

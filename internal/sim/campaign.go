@@ -13,7 +13,7 @@
 // overwhelming majority of trials draw zero faults, replay the
 // deterministic fault-free schedule, and therefore cost only the
 // occurrence-uniform draws — only the faulty minority is executed, by
-// a heap-free sweep over the constraint graph. Worker Runners are
+// the sweep over the constraint graph. Worker Runners are
 // Clones sharing the immutable per-attempt tables, their scratch
 // carved from line-padded slabs, and the whole campaign state is
 // retained on the base Runner, so repeated campaigns run with
@@ -96,7 +96,7 @@ type Campaign struct {
 	// FaultFreeTrials counts trials in which no execution attempt
 	// faulted — exactly the trials the fast path can serve. The count
 	// is derived from the merged outcomes, so it is identical whether
-	// the fast path ran or the event heap replayed every trial.
+	// the fast path or the sweep served each trial.
 	FaultFreeTrials int `json:"faultFreeTrials"`
 	// FaultFreeRate is FaultFreeTrials over Trials: the fast-path hit
 	// rate of the campaign.
@@ -131,7 +131,8 @@ type CampaignProfile struct {
 	TrialsNs int64 `json:"trialsNs"`
 	MergeNs  int64 `json:"mergeNs"`
 	// FastPathTrials counts trials served by the precomputed fault-free
-	// outcome; HeapTrials counts trials not served by the fast path.
+	// outcome; HeapTrials counts the trials the sweep ran. The JSON name
+	// predates the sweep and is kept for wire compatibility.
 	FastPathTrials int64 `json:"fastPathTrials"`
 	HeapTrials     int64 `json:"heapTrials"`
 	// Workers is the resolved pool size the campaign ran with.

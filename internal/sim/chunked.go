@@ -441,7 +441,7 @@ func (r *Runner) RunCampaignChunked(ctx context.Context, opts ChunkedOptions) (*
 
 // chunkResumeTrials is how many of the campaign's trials were already
 // merged before this process ran any — they contribute to the state
-// but not to this run's fast-path/heap accounting.
+// but not to this run's fast-path/sweep accounting.
 func chunkResumeTrials(opts ChunkedOptions) int {
 	if opts.Resume == nil {
 		return 0

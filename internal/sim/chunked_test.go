@@ -4,70 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"testing"
 
 	"energysched/internal/hist"
 )
-
-// refCampaign is the independent reference for the campaign engine:
-// it runs trials 0..trials-1 in order on r itself and folds each
-// outcome straight into a Campaign with a plain loop — no pool, no
-// chunks, no trial slots, no CampaignState.
-func refCampaign(t *testing.T, r *Runner, trials int) *Campaign {
-	t.Helper()
-	z, err := ZForConfidence(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eh, mh := hist.New(hist.OutcomeBounds()), hist.New(hist.OutcomeBounds())
-	c := &Campaign{
-		Trials:          trials,
-		TrialsRequested: trials,
-		Seed:            r.opts.Seed,
-		Policy:          r.opts.Policy.String(),
-		WorstCase:       r.opts.WorstCase,
-		Energy:          Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Makespan:        Summary{Min: math.Inf(1), Max: math.Inf(-1)},
-		Predicted:       r.Predict(),
-	}
-	var sumE, sumM float64
-	var tr Trace
-	r.sc.fastServed = 0
-	for trial := 0; trial < trials; trial++ {
-		r.Run(trial, &tr)
-		o := tr.Outcome
-		sumE += o.Energy
-		sumM += o.Makespan
-		eh.Observe(o.Energy)
-		mh.Observe(o.Makespan)
-		c.Energy.Min = math.Min(c.Energy.Min, o.Energy)
-		c.Energy.Max = math.Max(c.Energy.Max, o.Energy)
-		c.Makespan.Min = math.Min(c.Makespan.Min, o.Makespan)
-		c.Makespan.Max = math.Max(c.Makespan.Max, o.Makespan)
-		c.Reexecutions += int64(o.Reexecutions)
-		c.Faults += int64(o.Faults)
-		if o.Faults == 0 {
-			c.FaultFreeTrials++
-		}
-		if o.Succeeded {
-			c.Successes++
-		}
-		if !o.DeadlineMet {
-			c.DeadlineMisses++
-		}
-	}
-	n := float64(trials)
-	c.SuccessRate = float64(c.Successes) / n
-	c.FaultFreeRate = float64(c.FaultFreeTrials) / n
-	c.CIHalfWidth = WilsonHalfWidth(c.Successes, trials, z)
-	c.Energy.Mean = sumE / n
-	c.Makespan.Mean = sumM / n
-	c.EnergyHist = eh.JSON()
-	c.MakespanHist = mh.JSON()
-	c.Profile = CampaignProfile{FastPathTrials: r.sc.fastServed, HeapTrials: int64(trials) - r.sc.fastServed}
-	return c
-}
 
 // TestChunkedMatchesUnchunked is the equivalence gate of the campaign
 // engine: with the stopping rule off, a campaign must be bit-identical
@@ -90,15 +30,22 @@ func TestChunkedMatchesUnchunked(t *testing.T) {
 		t.Fatalf("degenerate reference: %d/%d fault-free trials", ref.FaultFreeTrials, trials)
 	}
 	want, _ := json.Marshal(ref)
+	// The fast-path split is what Run itself counts over the trials.
+	fr := newRunner()
+	var tr Trace
+	for trial := 0; trial < trials; trial++ {
+		fr.Run(trial, &tr)
+	}
+	fast := fr.sc.fastServed
 	check := func(name string, c *Campaign) {
 		t.Helper()
 		if c.StoppedEarly || c.Trials != trials || c.TrialsRequested != trials {
 			t.Fatalf("%s: unexpected reporting fields %d/%d early=%t",
 				name, c.Trials, c.TrialsRequested, c.StoppedEarly)
 		}
-		if c.Profile.FastPathTrials != ref.Profile.FastPathTrials || c.Profile.HeapTrials != ref.Profile.HeapTrials {
-			t.Fatalf("%s: fast/heap split %d/%d differs from reference %d/%d", name,
-				c.Profile.FastPathTrials, c.Profile.HeapTrials, ref.Profile.FastPathTrials, ref.Profile.HeapTrials)
+		if c.Profile.FastPathTrials != fast || c.Profile.HeapTrials != trials-fast {
+			t.Fatalf("%s: fast/sweep split %d/%d differs from Run's %d/%d", name,
+				c.Profile.FastPathTrials, c.Profile.HeapTrials, fast, trials-fast)
 		}
 		if got, _ := json.Marshal(c); string(got) != string(want) {
 			t.Fatalf("%s: campaign differs from the sequential reference\ngot: %s\nref: %s", name, got, want)

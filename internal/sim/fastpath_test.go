@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"energysched/internal/core"
+	"energysched/internal/dag"
 	"energysched/internal/listsched"
 	"energysched/internal/model"
+	"energysched/internal/platform"
 	"energysched/internal/workload"
 )
 
 // fastEqInstance builds a solved TRI-CRIT instance of the class with
 // real fault pressure (λ0 high enough that a few-hundred-trial
 // campaign mixes fault-free and faulty trials, so both the fast path
-// and the event heap are exercised).
+// and the sweep are exercised).
 func fastEqInstance(t *testing.T, cls workload.Class, seed int64) (*core.Instance, *core.Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed + int64(cls)*1_000_003))
@@ -43,9 +45,9 @@ func fastEqInstance(t *testing.T, cls workload.Class, seed int64) (*core.Instanc
 // TestFastPathEquivalence is the gate on the tentpole invariant: a
 // campaign run with the fault-free fast path enabled must be
 // bit-identical — whole Campaign JSON, so energy, makespan, flags,
-// fault counts and histograms alike — to a campaign forced through
-// the event heap for every trial, across seeds × recovery policies ×
-// workload classes × worst-case replay.
+// fault counts and histograms alike — to refCampaign's fold over the
+// event heap (refRun), across seeds × recovery policies × workload
+// classes × worst-case replay.
 func TestFastPathEquivalence(t *testing.T) {
 	classes := []workload.Class{workload.ClassChain, workload.ClassForkJoin, workload.ClassLayered}
 	modes := []struct {
@@ -72,23 +74,11 @@ func TestFastPathEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", cls, m.name, seed, err)
 				}
-				heap, err := NewRunner(in, res.Schedule, Options{
-					Seed:            seed,
-					Policy:          m.policy,
-					WorstCase:       m.worstCase,
-					DisableFastPath: true,
-				})
+				ref, err := NewRunner(in, res.Schedule, Options{Seed: seed, Policy: m.policy, WorstCase: m.worstCase})
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := heap.RunCampaign(context.Background(), opts.Trials, 0)
-				if err != nil {
-					t.Fatalf("%s/%s seed %d (heap-only): %v", cls, m.name, seed, err)
-				}
-				if slow.Profile.FastPathTrials != 0 {
-					t.Fatalf("%s/%s seed %d: heap-only runner served %d trials from the fast path",
-						cls, m.name, seed, slow.Profile.FastPathTrials)
-				}
+				slow := refCampaign(t, ref, opts.Trials)
 				fastJSON, err := json.Marshal(fast)
 				if err != nil {
 					t.Fatal(err)
@@ -115,7 +105,7 @@ func TestFastPathEquivalence(t *testing.T) {
 
 // TestFastPathActuallyEngages plants a sentinel in the precomputed
 // fault-free outcome and checks a fault-free trial emits it — i.e.
-// the fast path really short-circuits instead of re-running the heap
+// the fast path really short-circuits instead of re-running the sweep
 // to the same numbers.
 func TestFastPathActuallyEngages(t *testing.T) {
 	in := triChain(t, 8, 1e-9) // effectively fault-free at this λ0
@@ -143,17 +133,17 @@ func TestFastPathActuallyEngages(t *testing.T) {
 }
 
 // TestFaultFreeOutcomeMatchesDisabledFaults: the precomputed outcome
-// the fast path emits must equal a fault-disabled heap execution.
+// the fast path emits must equal a fault-disabled event-heap execution.
 func TestFaultFreeOutcomeMatchesDisabledFaults(t *testing.T) {
 	in := triChain(t, 12, 0.02)
 	res := solve(t, in)
 	for _, wc := range []bool{false, true} {
-		r, err := NewRunner(in, res.Schedule, Options{Seed: 3, WorstCase: wc, DisableFaults: true, DisableFastPath: true})
+		r, err := NewRunner(in, res.Schedule, Options{Seed: 3, WorstCase: wc, DisableFaults: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var tr Trace
-		r.Run(0, &tr)
+		refRun(r, &tr, false)
 		if tr.Outcome != r.ff {
 			t.Fatalf("worstCase=%t: fault-disabled heap outcome %+v != precomputed %+v", wc, tr.Outcome, r.ff)
 		}
@@ -173,7 +163,7 @@ func TestClone(t *testing.T) {
 	if &r.first[0] != &c.first[0] || &r.second[0] != &c.second[0] || r.cg != c.cg {
 		t.Fatal("clone does not share the immutable attempt tables")
 	}
-	if &r.sc.u1[0] == &c.sc.u1[0] || &r.sc.indeg[0] == &c.sc.indeg[0] {
+	if &r.sc.u1[0] == &c.sc.u1[0] || &r.sc.recs[:1][0] == &c.sc.recs[:1][0] {
 		t.Fatal("clone shares per-trial scratch with its source")
 	}
 	if c.ff != r.ff {
@@ -254,5 +244,42 @@ func TestRunnerCampaignSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("steady-state campaign allocates %.1f objects, want <= 16", allocs)
+	}
+}
+
+// BenchmarkCampaignFaultFree1kHeapOnly is the ablation baseline of the
+// root BenchmarkCampaignFaultFree1k: the same 1000 trials of the same
+// 64-task chain at λ0 = 1e-5, each drawn and run on the event heap and
+// folded by refCampaign — no fast path, no sweep, one goroutine. Not
+// gated.
+func BenchmarkCampaignFaultFree1kHeapOnly(b *testing.B) {
+	ws := workload.UniformWeights.Weights(rand.New(rand.NewSource(7)), 64)
+	g := dag.ChainGraph(ws...)
+	mp, err := platform.SingleProcessor(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sm, err := model.NewContinuous(0.1, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sum := 0.0
+	for _, w := range ws {
+		sum += w
+	}
+	rel := model.Reliability{Lambda0: 1e-5, Sensitivity: 3, FMin: sm.FMin, FMax: sm.FMax}
+	in := &core.Instance{Graph: g, Mapping: mp, Speed: sm, Deadline: sum / sm.FMax * 2.5,
+		Rel: &rel, FRel: 0.8 * sm.FMax}
+	r, err := NewRunner(in, solve(b, in).Schedule, Options{Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	refCampaign(b, r, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := refCampaign(b, r, 1000); c.FaultFreeTrials < 900 {
+			b.Fatalf("fault-light instance drew faults in %d/1000 trials", 1000-c.FaultFreeTrials)
+		}
 	}
 }

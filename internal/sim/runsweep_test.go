@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,10 +60,12 @@ func sweepEqInstance(t *testing.T, cls workload.Class, sm model.SpeedModel, seed
 	return in, s
 }
 
-// TestSweepMatchesHeap is the per-trial gate on runSweep: for every
+// TestSweepMatchesHeap is the per-trial gate on the sweep: for every
 // workload class, speed model, recovery mode and seed, each of 2000
-// trials must produce the same Outcome, bit for bit, on the sweep and
-// on the event heap, from the same occurrence draws.
+// trials must produce the same trace, bit for bit, from Run, from the
+// sweep itself (fault-free trials included) and from the event heap
+// (refRun) on the same occurrence draws — with Record off and on, and
+// with the injector off.
 func TestSweepMatchesHeap(t *testing.T) {
 	cont, err := model.NewContinuous(0.1, 1.0)
 	if err != nil {
@@ -86,7 +89,9 @@ func TestSweepMatchesHeap(t *testing.T) {
 		{"abort", PolicyAbort, false},
 		{"worst-case", PolicySameSpeed, true},
 	}
-	const trials = 2000
+	// Recording runs build the event log on both engines, so they run
+	// on the first recTrials trials only.
+	const trials, recTrials = 2000, 500
 	multiFault := make([]int, len(modes))
 	for _, cls := range workload.AllClasses() {
 		for _, sm := range []model.SpeedModel{cont, vdd, disc} {
@@ -97,25 +102,43 @@ func TestSweepMatchesHeap(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					h := newRefHeap(r)
+					var got, want Trace
+					check := func(what string, record bool, trial int) {
+						t.Helper()
+						if d := traceDiff(&got, &want); d != "" {
+							t.Fatalf("%s/%v/%s seed %d trial %d, %s, record=%t: %s",
+								cls, sm.Kind, m.name, seed, trial, what, record, d)
+						}
+					}
 					faulty := 0
-					var sw, hp Trace
-					for trial := 0; trial < trials; trial++ {
-						drawTrial(r, trial)
-						if !r.runSweep(&sw) {
-							t.Fatalf("%s/%v/%s seed %d trial %d: sweep fell back on a solver schedule",
-								cls, sm.Kind, m.name, seed, trial)
+					for _, record := range []bool{false, true} {
+						r.opts.Record = record
+						n := trials
+						if record {
+							n = recTrials
 						}
-						r.runHeap(&hp, true)
-						if !sameOutcome(sw.Outcome, hp.Outcome) {
-							t.Fatalf("%s/%v/%s seed %d trial %d: sweep %+v != heap %+v",
-								cls, sm.Kind, m.name, seed, trial, sw.Outcome, hp.Outcome)
+						for trial := 0; trial < n; trial++ {
+							r.Run(trial, &got)
+							h.trial(trial, &want)
+							check("Run", record, trial)
+							r.runSweep(&got)
+							check("sweep", record, trial)
+							if record {
+								continue
+							}
+							if want.Outcome.Faults > 0 {
+								faulty++
+							}
+							if want.Outcome.Faults > 1 {
+								multiFault[mi]++
+							}
 						}
-						if hp.Outcome.Faults > 0 {
-							faulty++
-						}
-						if hp.Outcome.Faults > 1 {
-							multiFault[mi]++
-						}
+						r.opts.DisableFaults = true
+						r.Run(0, &got)
+						h.trial(0, &want)
+						check("injector off", record, 0)
+						r.opts.DisableFaults = false
 					}
 					if faulty == 0 {
 						t.Fatalf("%s/%v/%s seed %d: no trial drew a fault", cls, sm.Kind, m.name, seed)
@@ -165,9 +188,11 @@ func absorbedInstance(t *testing.T) (*core.Instance, *schedule.Schedule) {
 	return in, s
 }
 
-// TestSweepFallsBackOnAbsorbedDuration: on a trial whose heap pop
-// order is not the sorted finish order, the sweep must hand the trial
-// to the heap, and the result must equal the heap's bit for bit.
+// TestSweepFallsBackOnAbsorbedDuration: on trials whose heap pop
+// order is not the sorted finish order, the sweep's tie rule must
+// reproduce the heap's order, so Run matches refRun bit for bit with
+// Record off and on — trials that draw a fault and the precomputed
+// fault-free outcome alike.
 func TestSweepFallsBackOnAbsorbedDuration(t *testing.T) {
 	in, s := absorbedInstance(t)
 	// The case is sharp: a sorted fold gives a different energy.
@@ -178,28 +203,33 @@ func TestSweepFallsBackOnAbsorbedDuration(t *testing.T) {
 	if T := s.Tasks[2].Execs[0].End(); T+s.Tasks[0].Execs[0].Duration() != T {
 		t.Fatal("C's duration is not absorbed by its start")
 	}
-	r, err := NewRunner(in, s, Options{Seed: 3, WorstCase: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewRunner(in, s, Options{Seed: 3, WorstCase: true, DisableFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, want Trace
-	for trial := 0; trial < 200; trial++ {
-		r.Run(trial, &got)
-		ref.Run(trial, &want)
-		if !sameOutcome(got.Outcome, want.Outcome) {
-			t.Fatalf("trial %d: %+v, heap %+v", trial, got.Outcome, want.Outcome)
+	for _, record := range []bool{false, true} {
+		r, err := NewRunner(in, s, Options{Seed: 3, WorstCase: true, Record: record})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if r.sc.sweepFallbacks == 0 {
-		t.Fatal("no trial fell back to the heap")
-	}
-	if r.sc.sweepFallbacks+r.sc.fastServed != 200 {
-		t.Fatalf("%d fallbacks + %d fast-path trials, want 200: some trial ran on the sweep",
-			r.sc.sweepFallbacks, r.sc.fastServed)
+		if r.ff.Energy != (eB+eA)+eC {
+			t.Fatalf("record=%t: fault-free energy %v, want the heap's fold %v", record, r.ff.Energy, (eB+eA)+eC)
+		}
+		var got, want Trace
+		swept := 0
+		for trial := 0; trial < 200; trial++ {
+			fast := r.sc.fastServed
+			r.Run(trial, &got)
+			refTrial(r, trial, &want)
+			if d := traceDiff(&got, &want); d != "" {
+				t.Fatalf("record=%t trial %d: %s", record, trial, d)
+			}
+			if r.sc.fastServed == fast {
+				swept++
+			}
+		}
+		if swept == 0 || (record && swept != 200) {
+			t.Fatalf("record=%t: %d of 200 trials ran on the sweep", record, swept)
+		}
+		if !record && swept == 200 {
+			t.Fatal("no trial took the fast path")
+		}
 	}
 }
 
@@ -214,8 +244,8 @@ func fuzzWeight(x float64) float64 {
 
 // FuzzSweepMatchesHeap fuzzes weights, speeds, λ0, policy, seed and
 // trial on a five-task fork-join over two processors, and checks that
-// the sweep (when it does not fall back) and Run both match the event
-// heap bit for bit.
+// Run and the sweep both match the event heap bit for bit — outcome and
+// event log — with Record off and on, and with the injector off.
 func FuzzSweepMatchesHeap(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, 4.0, 5.0, uint8(0), -2.0, uint8(0), int64(1), uint16(0))
 	f.Add(0.0, 17.9, 17.9, 0.5, 0.0, uint8(0x1f), -1.0, uint8(3), int64(7), uint16(42))
@@ -260,22 +290,21 @@ func FuzzSweepMatchesHeap(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.DisableFastPath = true
-		ref, err := NewRunner(in, s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sw, hp, run Trace
-		drawTrial(r, int(trial))
-		swept := r.runSweep(&sw)
-		r.runHeap(&hp, true)
-		if swept && !sameOutcome(sw.Outcome, hp.Outcome) {
-			t.Fatalf("sweep %+v != heap %+v", sw.Outcome, hp.Outcome)
-		}
-		r.Run(int(trial), &run)
-		ref.Run(int(trial), &hp)
-		if !sameOutcome(run.Outcome, hp.Outcome) {
-			t.Fatalf("Run %+v != heap-only Run %+v", run.Outcome, hp.Outcome)
+		var got, want Trace
+		for _, c := range []struct{ record, noFaults bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			r.opts.Record, r.opts.DisableFaults = c.record, c.noFaults
+			r.Run(int(trial), &got)
+			refTrial(r, int(trial), &want)
+			if d := traceDiff(&got, &want); d != "" {
+				t.Fatalf("record=%t injector off=%t: Run %s", c.record, c.noFaults, d)
+			}
+			if c.noFaults {
+				r.drawNoFaults()
+			}
+			r.runSweep(&got)
+			if d := traceDiff(&got, &want); d != "" {
+				t.Fatalf("record=%t injector off=%t: sweep %s", c.record, c.noFaults, d)
+			}
 		}
 	})
 }
@@ -309,8 +338,7 @@ func TestWorkerScratchDisjointLines(t *testing.T) {
 		lo := uintptr(unsafe.Pointer(sc))
 		written[w] = []span{
 			{lo, lo + unsafe.Sizeof(*sc)},
-			sliceSpan(sc.u1), sliceSpan(sc.u2), sliceSpan(sc.release),
-			sliceSpan(sc.indeg), sliceSpan(sc.done), sliceSpan(sc.heap),
+			sliceSpan(sc.u1), sliceSpan(sc.u2), sliceSpan(sc.release), sliceSpan(sc.recs),
 		}
 	}
 	lines := func(s span) span { return span{s.lo &^ (cacheLine - 1), (s.hi + cacheLine - 1) &^ (cacheLine - 1)} }
@@ -327,8 +355,15 @@ func TestWorkerScratchDisjointLines(t *testing.T) {
 			}
 		}
 	}
-	// The campaign itself must still run on that scratch.
-	if _, err := r.RunCampaign(context.Background(), 1024, 4); err != nil {
+	// The campaign must still run on that scratch, and match the
+	// reference fold over the event heap.
+	c, err := r.RunCampaign(context.Background(), 1024, 4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	got, _ := json.Marshal(c)
+	want, _ := json.Marshal(refCampaign(t, r, 1024))
+	if string(got) != string(want) {
+		t.Fatalf("campaign differs from the reference\ngot: %s\nref: %s", got, want)
 	}
 }

@@ -11,17 +11,16 @@
 // must match the closed-form reliability and whose fault-free
 // replays must reproduce the solver's own numbers exactly.
 //
-// The reference engine is a classic event-queue simulation: a binary
-// heap of (time, task, attempt, kind) events with a total deterministic
-// order; an execution attempt becomes ready when every predecessor in
-// the mapping's constraint graph (DAG precedence ∪ same-processor
-// order) has completed, and starts at the later of that instant and
-// its scheduled start time. Because the mapping is fixed, a trial's
-// timeline is a longest-path pass over that graph, so campaign trials
-// run on a heap-free sweep in topological order instead (runSweep),
-// bit-identical to the heap; recording runs, which want the event log,
-// and Options.DisableFastPath keep the heap. Faults are drawn per
-// attempt from counter-split splitmix64 streams (internal/rng), one
+// Because the mapping is fixed and processor order is part of the
+// mapping's constraint graph (DAG precedence ∪ same-processor order),
+// a trial's timeline is a longest-path pass over that graph: an
+// execution attempt starts at the later of its scheduled start time and
+// the instant every predecessor completed. Every trial runs on that
+// pass (runSweep), in topological order, and its time-ordered event
+// log comes out in the order of a classic event-queue simulation — a
+// binary heap of (time, task, attempt, kind) events — which the tests
+// keep as the reference engine and match bit for bit. Faults are drawn
+// per attempt from counter-split splitmix64 streams (internal/rng), one
 // stream per (seed, trial) pair, so campaigns are reproducible and
 // embarrassingly parallel. Recovery after a failed first attempt is
 // pluggable: re-execute at the same speed (in the schedule's
@@ -33,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"energysched/internal/core"
@@ -178,13 +178,6 @@ type Options struct {
 	DisableFaults bool
 	// Record fills Trace.Events with the time-ordered event log.
 	Record bool
-	// DisableFastPath forces every trial through the event heap, which
-	// otherwise runs only for recording runs: neither the precomputed
-	// fault-free outcome nor the sweep is used. Both are bit-identical
-	// to the heap (and equivalence-tested); this switch exists for
-	// benchmarks comparing the paths and for the equivalence tests
-	// themselves.
-	DisableFastPath bool
 }
 
 // attempt is one precomputed execution attempt: scheduled start (< 0
@@ -199,8 +192,9 @@ type attempt struct {
 	segs   []schedule.Segment
 }
 
-// event is a heap entry. Kind breaks exact time ties after task and
-// attempt, giving the queue a total deterministic order.
+// event is one record of a trial's timeline: an attempt's start, fault
+// or finish. The key (time, task, attempt, kind) is unique within a
+// trial and totally ordered by eventLess.
 type event struct {
 	time    float64
 	task    int32
@@ -237,19 +231,15 @@ type Runner struct {
 	opts Options
 
 	cg     *dag.Graph
-	topo   []int   // a topological order of cg
-	indeg0 []int32 // constraint-graph indegree template
+	topo   []int // a topological order of cg
 	first  []attempt
 	second []attempt // dur == 0 → no second attempt possible
 	hasSec []bool
 
 	// ff is the outcome of the deterministic fault-free execution
-	// under the runner's options, precomputed by one event-heap run in
-	// NewRunner; it is what the fast path emits.
+	// under the runner's options, precomputed by one injector-off sweep
+	// in NewRunner; it is what the fast path emits.
 	ff Outcome
-	// noFast forces the event heap for every trial
-	// (Options.DisableFastPath).
-	noFast bool
 
 	// camp is the reusable campaign state (worker clones, trial slots,
 	// outcome histograms, worker pool), built lazily by the first
@@ -271,20 +261,16 @@ type trialScratch struct {
 	// release is the sweep's per-task release time (unreleased when
 	// the task, or a predecessor, failed for good).
 	release []float64
-	indeg   []int32
-	done    []bool // task completed all its attempts successfully
-	// heap is the event heap's buffer; the sweep reuses it for its
-	// finish records.
-	heap []event
+	// recs holds the sweep's records: finishes, plus starts and faults
+	// when recording (recording runs outgrow the slab region on first
+	// use and keep the larger buffer).
+	recs []event
 	// trace is the trace a campaign worker runs its trials into.
 	trace Trace
 	// fastServed counts trials this runner answered from the fast path
 	// since the campaign last reset it — each worker counts its own,
 	// the campaign engine sums them into the campaign profile.
 	fastServed int64
-	// sweepFallbacks counts trials the sweep handed back to the event
-	// heap because an attempt's duration was absorbed by its start.
-	sweepFallbacks int64
 }
 
 // cacheLine is the cache-line size the worker scratch is padded to.
@@ -298,18 +284,14 @@ const cacheLine = 64
 type scratchSlabs struct {
 	n      int
 	floats []float64 // u1, u2, release
-	indeg  []int32
-	done   []bool
-	heap   []event
+	recs   []event
 }
 
 func newScratchSlabs(n, runners int) scratchSlabs {
 	return scratchSlabs{
 		n:      n,
 		floats: lineSlab[float64](runners, 3*n),
-		indeg:  lineSlab[int32](runners, n),
-		done:   lineSlab[bool](runners, n),
-		heap:   lineSlab[event](runners, 4*n),
+		recs:   lineSlab[event](runners, 2*n),
 	}
 }
 
@@ -321,9 +303,7 @@ func (sl scratchSlabs) scratch(w int) trialScratch {
 		u1:      fl[:n:n],
 		u2:      fl[n : 2*n : 2*n],
 		release: fl[2*n:],
-		indeg:   lineRegion(sl.indeg, w, n),
-		done:    lineRegion(sl.done, w, n),
-		heap:    lineRegion(sl.heap, w, 4*n)[:0],
+		recs:    lineRegion(sl.recs, w, 2*n)[:0],
 	}
 }
 
@@ -384,16 +364,10 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 		opts:   opts,
 		cg:     cg,
 		topo:   topo,
-		indeg0: make([]int32, n),
 		first:  make([]attempt, n),
 		second: make([]attempt, n),
 		hasSec: make([]bool, n),
 		sc:     newScratchSlabs(n, 1).scratch(0),
-	}
-	for i := 0; i < n; i++ {
-		for range cg.Preds(i) {
-			r.indeg0[i]++
-		}
 	}
 	for i := 0; i < n; i++ {
 		ts := s.Tasks[i]
@@ -429,16 +403,15 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 			r.hasSec[i] = true
 		}
 	}
-	r.noFast = opts.DisableFastPath
-	// Precompute the fault-free outcome by one event-heap run with the
-	// injector off: the fault-free trace is fully deterministic (no
-	// stream is consumed), so this single run is the exact outcome of
-	// every trial whose occurrence draws admit no fault.
-	record := r.opts.Record
-	r.opts.Record = false
+	// Precompute the fault-free outcome by one sweep with the injector
+	// off: the fault-free trace is fully deterministic (no stream is
+	// consumed), so this single run is the exact outcome of every trial
+	// whose occurrence draws admit no fault.
 	var ff Trace
-	r.runHeap(&ff, false)
-	r.opts.Record = record
+	r.opts.Record = false
+	r.drawNoFaults()
+	r.runSweep(&ff)
+	r.opts.Record = opts.Record
 	r.ff = ff.Outcome
 	return r, nil
 }
@@ -446,7 +419,7 @@ func NewRunner(in *core.Instance, s *schedule.Schedule, opts Options) (*Runner, 
 // Clone returns a Runner that shares every immutable trial-invariant
 // table with r — instance, schedule, constraint graph, per-attempt
 // tables, precomputed fault-free outcome — and owns fresh per-trial
-// scratch. Cloning costs four O(n) slab allocations instead of the
+// scratch. Cloning costs two O(n) slab allocations instead of the
 // constraint-graph reconstruction and validation NewRunner pays,
 // which is what makes campaign worker pools cheap. The clone starts
 // from the same Options; like its source, it is not safe for
@@ -472,35 +445,29 @@ func makeAttempt(ex schedule.Execution, rel *model.Reliability) attempt {
 
 // Run executes one trial and fills tr (reusing its Events buffer).
 // With a warmed Runner and Trace the call performs no steady-state
-// allocations beyond heap growth on first use.
+// allocations beyond buffer growth on first use.
 //
 // Fast path: the per-attempt fault *occurrence* decision factors out
 // of the fault *location* computation (the same uniform u both decides
 // u < p and, via inverse-CDF over the segment hazard, locates the
 // instant — see faultOffset), so a trial can be classified by drawing
-// only the occurrence uniforms. They are drawn in the same task order
-// the event-heap path uses; when none admits a fault the trial is the
-// deterministic fault-free execution and Run emits the precomputed
-// Outcome. Each trial owns its counter-split stream rng.At(Seed,
-// trial), so stopping after the occurrence block is unobservable — no
-// later consumer shares the stream. A trial that does draw a fault runs
-// on the heap-free sweep (runSweep). Both emit outcomes bit-identical
-// to the event heap (equivalence-tested across seeds, policies, speed
-// models and workload classes); recording runs and DisableFastPath
-// use the heap itself.
+// only the occurrence uniforms, in task order. When none admits a fault
+// the trial is the deterministic fault-free execution and Run emits the
+// precomputed Outcome. Each trial owns its counter-split stream
+// rng.At(Seed, trial), so stopping after the occurrence block is
+// unobservable — no later consumer shares the stream. Every other
+// trial, and every recording run, executes on the sweep (runSweep).
 func (r *Runner) Run(trial int, tr *Trace) {
 	opts := r.opts
 	sc := &r.sc
 	injecting := r.rel != nil && !opts.DisableFaults
-	fast := !r.noFast && !opts.Record
 	if !injecting {
-		if fast {
-			sc.fastServed++
-			tr.Events = tr.Events[:0]
-			tr.Outcome = r.ff
+		if !opts.Record {
+			r.serveFaultFree(tr)
 			return
 		}
-		r.runHeap(tr, false)
+		r.drawNoFaults()
+		r.runSweep(tr)
 		return
 	}
 	// Draws are made up front in task order — two per task, used or
@@ -511,38 +478,43 @@ func (r *Runner) Run(trial int, tr *Trace) {
 	for i := 0; i < n; i++ {
 		sc.u1[i] = stream.Float64()
 	}
-	if fast && !opts.WorstCase && r.cleanFirst() {
+	if !opts.Record && !opts.WorstCase && r.cleanFirst() {
 		// No first attempt faults; no second attempt runs. The trial
 		// is the fault-free replay.
-		sc.fastServed++
-		tr.Events = tr.Events[:0]
-		tr.Outcome = r.ff
+		r.serveFaultFree(tr)
 		return
 	}
 	for i := 0; i < n; i++ {
 		sc.u2[i] = stream.Float64()
 	}
-	if fast && opts.WorstCase && r.cleanFirst() && r.cleanSecondWorstCase() {
+	if !opts.Record && opts.WorstCase && r.cleanFirst() && r.cleanSecondWorstCase() {
 		// Worst-case replay runs every scheduled execution whatever
 		// the draws, so the fault-free short-circuit must also clear
 		// the always-running second attempts.
-		sc.fastServed++
-		tr.Events = tr.Events[:0]
-		tr.Outcome = r.ff
+		r.serveFaultFree(tr)
 		return
 	}
-	if fast {
-		if r.runSweep(tr) {
-			return
-		}
-		sc.sweepFallbacks++
+	r.runSweep(tr)
+}
+
+// serveFaultFree emits the precomputed fault-free outcome.
+func (r *Runner) serveFaultFree(tr *Trace) {
+	r.sc.fastServed++
+	tr.Events = tr.Events[:0]
+	tr.Outcome = r.ff
+}
+
+// drawNoFaults sets every occurrence uniform to +Inf, which no failure
+// probability exceeds: the sweep then runs the injector-off execution.
+func (r *Runner) drawNoFaults() {
+	for i := range r.sc.u1 {
+		r.sc.u1[i], r.sc.u2[i] = math.Inf(1), math.Inf(1)
 	}
-	r.runHeap(tr, true)
 }
 
 // cleanFirst reports whether no first attempt's occurrence uniform
-// admits a fault — the same u < p test the event-heap path applies at
-// each EventStart.
+// admits a fault — the same u < p test the sweep applies to each
+// first attempt.
 func (r *Runner) cleanFirst() bool {
 	for i := range r.first {
 		if p := r.first[i].p; p > 0 && r.sc.u1[i] < p {
@@ -570,29 +542,36 @@ func (r *Runner) cleanSecondWorstCase() bool {
 // successors never run.
 var unreleased = math.Inf(-1)
 
-// runSweep executes one injecting trial, its occurrence uniforms u1/u2
-// already drawn, in one pass over the constraint graph in topological
-// order: the heap-free equivalent of runHeap(tr, true). The mapping is
-// fixed and processor order is part of the constraint graph, so a task
-// starts at the later of its scheduled start and the release times of
-// its predecessors, and never runs if one of them failed for good.
-// Recovery follows runHeap's rules. Times, counts and flags come out
-// the same in any order; the energy sum does not. runHeap adds each
-// attempt's energy when it pops the attempt's finish, and while every
-// attempt that runs ends strictly after it starts, that pop order is
-// ascending (finish time, task, attempt): an event still to come
-// descends from one already queued, and its finish lies strictly later
-// than that ancestor. The sweep therefore records the finishes,
-// insertion-sorts them and folds the energy in that order. If some
-// attempt's duration is absorbed by its start time (start+dur ==
-// start, as with extreme weights), the heap's order is causal rather
-// than sorted; runSweep then returns false without touching tr, and
-// the caller replays the trial on runHeap with the same draws.
-func (r *Runner) runSweep(tr *Trace) bool {
+// runSweep executes one trial in one pass over the constraint graph in
+// topological order, on the occurrence uniforms u1/u2 already drawn
+// (attempt k of task i fails when its uniform is below its failure
+// probability). A task starts at the later of its scheduled start
+// and the release times of its predecessors, and never runs if one of
+// them failed for good (worst-case replay runs it anyway). After a
+// failed first attempt — or always, in worst-case replay — the second
+// attempt starts when the first ends, or in its scheduled slot if that
+// is later.
+//
+// Times, counts and flags come out the same in any order; the energy
+// sum and the event log do not. Both follow the order in which an
+// event queue would pop the records: non-decreasing time, and within
+// one time the smallest (task, attempt, kind) key among the records
+// whose cause has been emitted. The cause of a first-attempt start is
+// the final finish of each predecessor, of a second-attempt start the
+// first attempt's finish, of a fault or finish its attempt's start.
+// The sweep sorts its records and, only when a record can share its
+// time with its cause, reorders each tie group by that rule
+// (resolveTies). Without Record it keeps only finishes, each inheriting
+// its start's causes, and a finish shares its cause's time only when
+// its attempt's duration is absorbed by its start (start+dur == start).
+// Recording runs also keep the starts, and add the faults after the
+// pass (appendFaults).
+func (r *Runner) runSweep(tr *Trace) {
 	sc := &r.sc
-	wc := r.opts.WorstCase
+	wc, record := r.opts.WorstCase, r.opts.Record
 	release := sc.release
-	fin := sc.heap[:0]
+	recs := sc.recs[:0]
+	tied := record
 	out := Outcome{Succeeded: true}
 tasks:
 	for _, i := range r.topo {
@@ -609,11 +588,14 @@ tasks:
 		}
 		a := &r.first[i]
 		end := start + a.dur
-		if end == start {
-			return false
+		lost := sc.u1[i] < a.p
+		if record {
+			recs = append(recs, event{time: start, task: int32(i), kind: EventStart})
 		}
-		lost := a.p > 0 && sc.u1[i] < a.p
-		fin = append(fin, event{time: end, task: int32(i), kind: EventFinish})
+		recs = append(recs, event{time: end, task: int32(i), kind: EventFinish, failed: lost})
+		if end == start {
+			tied = true
+		}
 		if end > out.Makespan {
 			out.Makespan = end
 		}
@@ -630,11 +612,14 @@ tasks:
 				start = b.start
 			}
 			end = start + b.dur
-			if end == start {
-				return false
+			failed := sc.u2[i] < b.p
+			if record {
+				recs = append(recs, event{time: start, task: int32(i), attempt: 1, kind: EventStart})
 			}
-			failed := b.p > 0 && sc.u2[i] < b.p
-			fin = append(fin, event{time: end, task: int32(i), attempt: 1, kind: EventFinish})
+			recs = append(recs, event{time: end, task: int32(i), attempt: 1, kind: EventFinish, failed: failed})
+			if end == start {
+				tied = true
+			}
 			if end > out.Makespan {
 				out.Makespan = end
 			}
@@ -655,118 +640,112 @@ tasks:
 		}
 		release[i] = end
 	}
-	for k := 1; k < len(fin); k++ {
-		e := fin[k]
+	if record {
+		recs = r.appendFaults(recs)
+	}
+	for k := 1; k < len(recs); k++ {
+		e := recs[k]
 		j := k
-		for ; j > 0 && eventLess(e, fin[j-1]); j-- {
-			fin[j] = fin[j-1]
+		for ; j > 0 && eventLess(e, recs[j-1]); j-- {
+			recs[j] = recs[j-1]
 		}
-		fin[j] = e
+		recs[j] = e
 	}
-	for k := range fin {
-		if fin[k].attempt == 0 {
-			out.Energy += r.first[fin[k].task].energy
-		} else {
-			out.Energy += r.second[fin[k].task].energy
-		}
+	if tied {
+		r.resolveTies(recs)
 	}
-	out.DeadlineMet = out.Succeeded && r.withinDeadline(out.Makespan)
 	tr.Events = tr.Events[:0]
+	for _, e := range recs {
+		a := r.attemptOf(e)
+		if e.kind == EventFinish {
+			out.Energy += a.energy
+		}
+		if record {
+			tr.Events = append(tr.Events, Event{Time: e.time, Kind: e.kind.String(), Task: int(e.task),
+				Attempt: int(e.attempt), Proc: r.s.Mapping.Proc[e.task], Speed: a.speed, Failed: e.failed})
+		}
+	}
+	sc.recs = recs
+	out.DeadlineMet = out.Succeeded && r.withinDeadline(out.Makespan)
 	tr.Outcome = out
-	return true
 }
 
-// runHeap is the event-heap execution of one trial; when injecting,
-// the occurrence uniforms u1/u2 must already be filled for this trial.
-// It is the reference engine: recording runs and DisableFastPath use
-// it for every trial, and runSweep must match it bit for bit.
-func (r *Runner) runHeap(tr *Trace, injecting bool) {
-	n := r.in.Graph.N()
-	opts := r.opts
-	sc := &r.sc
-	copy(sc.indeg, r.indeg0)
-	for i := range sc.done {
-		sc.done[i] = false
+// attemptOf returns the attempt a record belongs to.
+func (r *Runner) attemptOf(e event) *attempt {
+	if e.attempt == 1 {
+		return &r.second[e.task]
 	}
-	tr.Events = tr.Events[:0]
-	out := Outcome{Succeeded: true}
-	sc.heap = sc.heap[:0]
-	for i := 0; i < n; i++ {
-		if r.indeg0[i] == 0 {
-			r.push(event{time: r.first[i].start, task: int32(i), attempt: 0, kind: EventStart})
+	return &r.first[e.task]
+}
+
+// appendFaults appends a fault record for each recorded start whose
+// attempt fails, placed by faultOffset. The range covers the records
+// present on entry.
+func (r *Runner) appendFaults(recs []event) []event {
+	for _, e := range recs {
+		if e.kind != EventStart {
+			continue
+		}
+		a, u := r.attemptOf(e), r.sc.u1[e.task]
+		if e.attempt == 1 {
+			u = r.sc.u2[e.task]
+		}
+		if u < a.p {
+			recs = append(recs, event{time: e.time + faultOffset(a, u, *r.rel), task: e.task, attempt: e.attempt, kind: EventFault})
 		}
 	}
-	for len(sc.heap) > 0 {
-		ev := r.pop()
-		i := int(ev.task)
-		att := &r.first[i]
-		if ev.attempt == 1 {
-			att = &r.second[i]
+	return recs
+}
+
+// resolveTies reorders each run of equal-time records of the sorted
+// recs into event-queue order: repeatedly emit the smallest pending
+// record none of whose causes is still pending. The pending records
+// stay sorted, so the first one that is ready is the smallest.
+func (r *Runner) resolveTies(recs []event) {
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].time == recs[lo].time {
+			hi++
 		}
-		switch ev.kind {
-		case EventStart:
-			failed := false
-			if injecting && att.p > 0 {
-				u := sc.u1[i]
-				if ev.attempt == 1 {
-					u = sc.u2[i]
-				}
-				if u < att.p {
-					failed = true
-					if opts.Record {
-						r.push(event{time: ev.time + faultOffset(att, u, *r.rel), task: ev.task, attempt: ev.attempt, kind: EventFault})
-					}
-				}
+		for pos := lo; pos < hi-1; pos++ {
+			k := pos
+			for r.waits(recs[k], recs[pos:hi]) {
+				k++
 			}
-			if opts.Record {
-				tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventStart.String(),
-					Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
-			}
-			r.push(event{time: ev.time + att.dur, task: ev.task, attempt: ev.attempt, kind: EventFinish, failed: failed})
-		case EventFault:
-			tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventFault.String(),
-				Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed})
-		case EventFinish:
-			out.Energy += att.energy
-			if ev.time > out.Makespan {
-				out.Makespan = ev.time
-			}
-			if ev.failed {
-				out.Faults++
-			}
-			if opts.Record {
-				tr.Events = append(tr.Events, Event{Time: ev.time, Kind: EventFinish.String(),
-					Task: i, Attempt: int(ev.attempt), Proc: r.s.Mapping.Proc[i], Speed: att.speed, Failed: ev.failed})
-			}
-			switch {
-			case ev.attempt == 0 && opts.WorstCase && r.hasSec[i]:
-				// Worst-case replay: the provisioned re-execution always
-				// runs; the task fails only if both attempts do.
-				if !ev.failed {
-					sc.done[i] = true // success already banked
-				}
-				r.startAttempt(i, 1, ev.time, &out)
-			case ev.attempt == 0 && ev.failed && !opts.WorstCase && r.hasSec[i]:
-				out.Reexecutions++
-				r.startAttempt(i, 1, ev.time, &out)
-			case ev.failed && !sc.done[i]:
-				// Final attempt failed (or abort policy): the task — and
-				// with it the run — fails. Live execution prunes the
-				// failed task's successors; worst-case replay keeps
-				// executing the full schedule and only the success
-				// statistic records the failure.
-				out.Succeeded = false
-				if opts.WorstCase {
-					r.release(i, ev.time)
-				}
-			default:
-				sc.done[i] = true
-				r.release(i, ev.time)
-			}
+			e := recs[k]
+			copy(recs[pos+1:k+1], recs[pos:k])
+			recs[pos] = e
+		}
+		lo = hi
+	}
+}
+
+// waits reports whether one of e's causes is among the pending records
+// of e's tie group.
+func (r *Runner) waits(e event, pending []event) bool {
+	for _, c := range pending {
+		if r.causes(c, e) {
+			return true
 		}
 	}
-	out.DeadlineMet = out.Succeeded && r.withinDeadline(out.Makespan)
-	tr.Outcome = out
+	return false
+}
+
+// causes reports whether record c is a cause of record e. A recorded
+// fault or finish is caused by its attempt's start; a start, or an
+// unrecorded finish standing in for its start, by the finish before
+// it: its task's first attempt's, or its predecessors'.
+func (r *Runner) causes(c, e event) bool {
+	if e.kind != EventStart && r.opts.Record {
+		return c.kind == EventStart && c.task == e.task && c.attempt == e.attempt
+	}
+	if c.kind != EventFinish {
+		return false
+	}
+	if e.attempt == 1 {
+		return c.task == e.task && c.attempt == 0
+	}
+	return slices.Contains(r.cg.Preds(int(e.task)), int(c.task))
 }
 
 // withinDeadline reports whether a run ending at makespan meets the
@@ -774,37 +753,6 @@ func (r *Runner) runHeap(tr *Trace, injecting bool) {
 func (r *Runner) withinDeadline(makespan float64) bool {
 	d := r.in.Deadline
 	return makespan <= d+schedule.TimeEps*math.Max(1, d)
-}
-
-// startAttempt enqueues the start of attempt k of task i after the
-// previous attempt finished at time now. In worst-case replay the
-// success bookkeeping of attempt 1 is resolved at its finish via done.
-func (r *Runner) startAttempt(i, k int, now float64, out *Outcome) {
-	att := &r.second[i]
-	start := now
-	if att.start >= 0 && att.start > start {
-		start = att.start
-	}
-	if r.opts.WorstCase {
-		out.Reexecutions++
-	}
-	r.push(event{time: start, task: int32(i), attempt: int8(k), kind: EventStart})
-}
-
-// release marks task i complete at time now and makes its
-// constraint-graph successors ready; a successor with all predecessors
-// done starts at the later of now and its scheduled start.
-func (r *Runner) release(i int, now float64) {
-	for _, v := range r.cg.Succs(i) {
-		r.sc.indeg[v]--
-		if r.sc.indeg[v] == 0 {
-			start := r.first[v].start
-			if now > start {
-				start = now
-			}
-			r.push(event{time: start, task: int32(v), attempt: 0, kind: EventStart})
-		}
-	}
 }
 
 // faultOffset locates the fault instant within the attempt for the
@@ -827,46 +775,6 @@ func faultOffset(att *attempt, u float64, rel model.Reliability) float64 {
 		t += seg.Duration
 	}
 	return att.dur
-}
-
-func (r *Runner) push(ev event) {
-	h := append(r.sc.heap, ev)
-	r.sc.heap = h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (r *Runner) pop() event {
-	h := r.sc.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	r.sc.heap = h
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && eventLess(h[l], h[small]) {
-			small = l
-		}
-		if rr < last && eventLess(h[rr], h[small]) {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
 }
 
 // Prediction is what the schedule promises before any trial runs; the

@@ -273,7 +273,7 @@ func TestCampaignBitIdenticalAcrossWorkers(t *testing.T) {
 	// same reason); its trial split must still be deterministic.
 	if one.Profile.FastPathTrials != eight.Profile.FastPathTrials ||
 		one.Profile.HeapTrials != eight.Profile.HeapTrials {
-		t.Fatalf("fast/heap trial split differs across workers: %+v vs %+v",
+		t.Fatalf("fast/sweep trial split differs across workers: %+v vs %+v",
 			one.Profile, eight.Profile)
 	}
 	one.Profile, eight.Profile = CampaignProfile{}, CampaignProfile{}
@@ -479,7 +479,7 @@ func TestRunAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tr Trace
-	r.Run(0, &tr) // warm the event heap
+	r.Run(0, &tr) // warm the trace
 	trial := 1
 	if allocs := testing.AllocsPerRun(100, func() {
 		r.Run(trial, &tr)
